@@ -12,7 +12,7 @@
 
 use crate::costs::CellCosts;
 use cp_des::sync::MsgQueue;
-use cp_des::{ProcCtx, SimDuration};
+use cp_des::{Poll, ProcCtx, SimDuration};
 use cp_trace::{HbOp, Recorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -160,9 +160,21 @@ impl Mailboxes {
     /// cost is charged once the word is present (a poll loop would pay at
     /// least one access after arrival).
     pub fn ppe_read_outbox(&self, ctx: &ProcCtx, costs: &CellCosts) -> u32 {
-        let word = self.outbound.q.pop(ctx);
-        self.outbound.note_recv(&self.rec(), ctx);
+        let word = ctx
+            .drive_poll(|| self.poll_ppe_read_outbox(ctx))
+            .expect("a mailbox read never exits");
         ctx.advance(SimDuration::from_micros_f64(costs.ppe_mmio_op_us));
+        word
+    }
+
+    /// The non-blocking core of [`Mailboxes::ppe_read_outbox`]: the word if
+    /// one has arrived, else the step to take before polling again. On
+    /// `Ready` the caller still owes the MMIO access, `ppe_mmio_op_us`.
+    pub fn poll_ppe_read_outbox(&self, ctx: &ProcCtx) -> Poll<u32> {
+        let word = self.outbound.q.poll_pop(ctx);
+        if let Poll::Ready(_) = word {
+            self.outbound.note_recv(&self.rec(), ctx);
+        }
         word
     }
 

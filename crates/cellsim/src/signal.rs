@@ -6,7 +6,7 @@
 //! returns-and-clears the accumulated value, blocking while it is zero.
 
 use crate::costs::CellCosts;
-use cp_des::{Pid, ProcCtx, SimDuration};
+use cp_des::{Pid, ProcCtx, Reason, SimDuration};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ struct SigInner {
     value: u32,
     pending: bool,
     waiters: VecDeque<Pid>,
-    label: String,
+    label: Arc<str>,
 }
 
 /// One signal-notification register.
@@ -50,7 +50,7 @@ impl SignalReg {
                 value: 0,
                 pending: false,
                 waiters: VecDeque::new(),
-                label: label.to_string(),
+                label: Arc::from(label),
             })),
             mode,
         }
@@ -92,7 +92,7 @@ impl SignalReg {
     pub fn spu_read(&self, ctx: &ProcCtx, costs: &CellCosts) -> u32 {
         ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
         loop {
-            let label;
+            let reason;
             {
                 let mut st = self.inner.lock();
                 if st.pending {
@@ -101,9 +101,9 @@ impl SignalReg {
                 }
                 let me = ctx.pid();
                 st.waiters.push_back(me);
-                label = st.label.clone();
+                reason = Reason::new("signal read").on(&st.label);
             }
-            ctx.block(&format!("{label}: signal read"));
+            ctx.block(reason);
         }
     }
 

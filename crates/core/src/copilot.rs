@@ -25,19 +25,22 @@
 //! **mailbox watcher** per SPE (modelling the real Co-Pilot's polling of
 //! the SPEs' outbound mailboxes), one **MPI pump** (its blocking
 //! `MPI_Recv(ANY_SOURCE)`), and the **service loop** consuming both event
-//! streams in arrival order.
+//! streams in arrival order. The watchers, the pump and the failover timers
+//! are reactive loops, so they are written as [`Reactor`]s: the DES kernel
+//! steps them inline with no thread of their own, and `cp-native` drives
+//! the same code on threads. The service loop keeps its thread.
 
 use crate::location::Location;
 use crate::protocol::{
     completion_err, completion_ok, completion_ok_inline, decode_bundle, decode_mcast,
-    CompletionError, Request, CP_BUNDLE_TAG, CP_MCAST_TAG, CP_SHUTDOWN_TAG, OP_POLL, OP_READ,
-    OP_WRITE, OP_WRITE_INLINE, POISON_WORD, REQ_BLOCK_BYTES,
+    CompletionError, MalformedEnvelope, Request, CP_BUNDLE_TAG, CP_MCAST_TAG, CP_SHUTDOWN_TAG,
+    OP_POLL, OP_READ, OP_WRITE, OP_WRITE_INLINE, POISON_WORD, REQ_BLOCK_BYTES,
 };
 use crate::runtime::AppShared;
 use crate::tables::{CoEvent, NodeShared, PendingReq};
 use cp_cellsim::{ls_ea, CellNode};
-use cp_des::{IncidentCategory, ProcCtx, SimDuration};
-use cp_mpisim::{Comm, Datatype, MpiWorld, Msg};
+use cp_des::{IncidentCategory, Poll, ProcCtx, Reactor, SimDuration, Step};
+use cp_mpisim::{Comm, Datatype, MpiWorld, Msg, RecvOp};
 use cp_simnet::{NodeId, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -51,36 +54,46 @@ pub(crate) fn copilot_body(
 ) -> impl FnOnce(Comm) + Send + 'static {
     move |comm: Comm| {
         let ns = shared.node_shared[&node].clone();
-        let cell = ns.cell.clone();
         let ctx = comm.ctx().clone();
-        for hw in 0..cell.spe_count() {
-            sim_spawn_watcher(&ctx, ns.clone(), hw);
+        for hw in 0..ns.cell.spe_count() {
+            ctx.spawn_reactor(
+                &format!("copilot{}-watch-spe{hw}", ns.cell.id),
+                Watcher {
+                    ns: ns.clone(),
+                    hw,
+                    state: Watch::Read,
+                },
+            );
         }
         spawn_pump(&ctx, &world, rank, ns.clone());
         if let Some(kill_at) = shared.faults.copilot_kill_of(node) {
             // The node-local liveness signal: beat every period until the
             // scripted death silences it (or a clean shutdown stops the
             // pair). The watchdog in `standby_body` polls the same cell.
-            {
-                let hb = ns.hb.clone();
-                ctx.spawn(&format!("copilot{}-heartbeat", node.0), move |bctx| {
-                    while !hb.is_stopped() && bctx.now() < kill_at {
-                        hb.beat(bctx.now());
-                        bctx.advance(HEARTBEAT_PERIOD);
+            let hb = ns.hb.clone();
+            ctx.spawn_reactor(
+                &format!("copilot{}-heartbeat", node.0),
+                move |bctx: &ProcCtx| {
+                    if hb.is_stopped() || bctx.now() >= kill_at {
+                        return Step::Exit;
                     }
-                });
-            }
+                    hb.beat(bctx.now());
+                    Step::Advance(HEARTBEAT_PERIOD)
+                },
+            );
             // Deliver the death at exactly the scripted instant as a queue
             // event, so the primary retires at the kill time (events queued
             // later stay behind the marker for the standby to service).
-            {
-                let ns = ns.clone();
-                ctx.spawn(&format!("copilot{}-kill", node.0), move |kctx| {
-                    kctx.advance(SimDuration::from_nanos(kill_at.as_nanos()));
-                    ns.note_queue_push(&kctx.name(), kctx.now().as_nanos());
-                    ns.queue.push(kctx, CoEvent::Die, SimDuration::ZERO);
-                });
-            }
+            let ns = ns.clone();
+            let mut armed = false;
+            ctx.spawn_reactor(&format!("copilot{}-kill", node.0), move |kctx: &ProcCtx| {
+                if !std::mem::replace(&mut armed, true) {
+                    return Step::Advance(SimDuration::from_nanos(kill_at.as_nanos()));
+                }
+                ns.note_queue_push(kctx);
+                ns.queue.push(kctx, CoEvent::Die, SimDuration::ZERO);
+                Step::Exit
+            });
         }
         service_loop(&comm, &shared, &ns, false);
     }
@@ -133,70 +146,158 @@ pub(crate) fn standby_body(
 
 /// Spawn the Co-Pilot's MPI pump (its blocking `MPI_Recv(ANY_SOURCE)`),
 /// feeding the node's shared event queue. A takeover retires the rank's
-/// mailbox mid-recv; the pump absorbs that unwind and exits — the
-/// standby's own pump owns the wire from then on.
+/// mailbox mid-recv; the pump then exits — the standby's own pump owns
+/// the wire from then on.
 fn spawn_pump(ctx: &ProcCtx, world: &MpiWorld, rank: usize, ns: Arc<NodeShared>) {
-    let world = world.clone();
     let node = ns.cell.id;
-    ctx.spawn(&format!("copilot{node}-pump-r{rank}"), move |pctx| {
-        let _ = cp_mpisim::absorb_rank_death(|| {
-            let pcomm = world.attach(pctx, rank);
-            loop {
-                let m = pcomm.recv(None, None);
-                ns.note_queue_push(&pctx.name(), pctx.now().as_nanos());
-                if m.tag == CP_SHUTDOWN_TAG {
-                    ns.queue.push(pctx, CoEvent::Shutdown, SimDuration::ZERO);
-                    return;
-                }
-                ns.queue.push(pctx, CoEvent::Mpi(m), SimDuration::ZERO);
-            }
-        });
-    });
+    ctx.spawn_reactor(
+        &format!("copilot{node}-pump-r{rank}"),
+        Pump {
+            world: world.clone(),
+            rank,
+            ns,
+            comm: None,
+            recv: RecvOp::new(None, None),
+        },
+    );
 }
 
-fn sim_spawn_watcher(ctx: &ProcCtx, ns: Arc<NodeShared>, hw: usize) {
-    let cell = ns.cell.clone();
-    ctx.spawn(
-        &format!("copilot{}-watch-spe{}", cell.id, hw),
-        move |wctx| {
-            loop {
-                let word = cell.spes[hw].mbox.ppe_read_outbox(wctx, &cell.costs);
-                if word == POISON_WORD {
-                    return;
+/// The MPI pump: receives every message addressed to the Co-Pilot's rank
+/// and queues it for the service loop, until the shutdown message.
+struct Pump {
+    world: MpiWorld,
+    rank: usize,
+    ns: Arc<NodeShared>,
+    /// Attached on the first step, once the pump's context exists.
+    comm: Option<Comm>,
+    recv: RecvOp,
+}
+
+impl Reactor for Pump {
+    fn step(&mut self, ctx: &ProcCtx) -> Step {
+        let comm = self
+            .comm
+            .get_or_insert_with(|| self.world.attach(ctx, self.rank));
+        loop {
+            let m = match comm.poll_recv(&mut self.recv) {
+                Poll::Ready(m) => m,
+                Poll::Pending(step) => return step,
+            };
+            self.ns.note_queue_push(ctx);
+            if m.tag == CP_SHUTDOWN_TAG {
+                self.ns
+                    .queue
+                    .push(ctx, CoEvent::Shutdown, SimDuration::ZERO);
+                return Step::Exit;
+            }
+            self.ns.queue.push(ctx, CoEvent::Mpi(m), SimDuration::ZERO);
+        }
+    }
+}
+
+/// One SPE's mailbox watcher: reads each request word from the SPE's
+/// outbound mailbox, fetches the request block (and an inline payload)
+/// through the problem-state mapping, and queues the request for the
+/// service loop. The poison word ends it.
+struct Watcher {
+    ns: Arc<NodeShared>,
+    hw: usize,
+    state: Watch,
+}
+
+enum Watch {
+    /// Waiting for the SPE's next request word.
+    Read,
+    /// A word arrived and its MMIO read is charged.
+    Word(u32),
+    /// The request block was fetched and its copy is charged.
+    Block { word: u32, req: Request },
+    /// The inline payload was fetched and its copy is charged.
+    Inline { req: Request, payload: Vec<u8> },
+}
+
+impl Watcher {
+    fn post(&self, ctx: &ProcCtx, req: Request, inline: Option<Vec<u8>>) {
+        self.ns.note_queue_push(ctx);
+        let hw = self.hw;
+        self.ns
+            .queue
+            .push(ctx, CoEvent::Request { hw, req, inline }, SimDuration::ZERO);
+    }
+}
+
+impl Reactor for Watcher {
+    fn step(&mut self, ctx: &ProcCtx) -> Step {
+        let cell = &self.ns.cell;
+        let hw = self.hw;
+        let copy = |bytes: usize| SimDuration::from_micros_f64(cell.costs.memcpy_us(bytes, 1));
+        loop {
+            match std::mem::replace(&mut self.state, Watch::Read) {
+                Watch::Read => match cell.spes[hw].mbox.poll_ppe_read_outbox(ctx) {
+                    Poll::Ready(word) => {
+                        self.state = Watch::Word(word);
+                        return Step::Advance(SimDuration::from_micros_f64(
+                            cell.costs.ppe_mmio_op_us,
+                        ));
+                    }
+                    Poll::Pending(step) => return step,
+                },
+                Watch::Word(POISON_WORD) => return Step::Exit,
+                Watch::Word(word) => {
+                    // Fetch the 16-byte request block through the
+                    // problem-state mapping (an uncached read, charged
+                    // accordingly).
+                    let block = cell
+                        .ea_read(ls_ea(hw, word as usize), REQ_BLOCK_BYTES)
+                        .expect("request block within local store");
+                    let req = Request::decode(&block);
+                    self.state = Watch::Block { word, req };
+                    return Step::Advance(copy(REQ_BLOCK_BYTES));
                 }
-                // Fetch the 16-byte request block through the problem-state
-                // mapping (an uncached read, charged accordingly).
-                let block = cell
-                    .ea_read(ls_ea(hw, word as usize), REQ_BLOCK_BYTES)
-                    .expect("request block within local store");
-                wctx.advance(SimDuration::from_micros_f64(
-                    cell.costs.memcpy_us(REQ_BLOCK_BYTES, 1),
-                ));
-                let req = Request::decode(&block);
                 // An eager inline write stages its payload immediately after
                 // the header: fetch it in the same mapped read (the block is
                 // contiguous in the local store), charging only the extra
                 // bytes — no second MMIO exchange.
-                let inline = if req.op == OP_WRITE_INLINE {
+                Watch::Block { word, req } if req.op == OP_WRITE_INLINE => {
                     let payload = cell
                         .ea_read(ls_ea(hw, word as usize + REQ_BLOCK_BYTES), req.len as usize)
                         .expect("inline payload within local store");
-                    wctx.advance(SimDuration::from_micros_f64(
-                        cell.costs.memcpy_us(req.len as usize, 1),
-                    ));
-                    Some(payload)
-                } else {
-                    None
-                };
-                ns.note_queue_push(&wctx.name(), wctx.now().as_nanos());
-                ns.queue.push(
-                    wctx,
-                    CoEvent::Request { hw, req, inline },
-                    SimDuration::ZERO,
-                );
+                    self.state = Watch::Inline { req, payload };
+                    return Step::Advance(copy(req.len as usize));
+                }
+                Watch::Block { req, .. } => self.post(ctx, req, None),
+                Watch::Inline { req, payload } => self.post(ctx, req, Some(payload)),
             }
-        },
-    );
+        }
+    }
+}
+
+/// Abort the run on a wire envelope that does not decode, naming the node
+/// and the envelope instead of panicking the Co-Pilot.
+fn malformed(ctx: &ProcCtx, node: usize, msg: &Msg, err: MalformedEnvelope) -> ! {
+    ctx.abort(&format!(
+        "Co-Pilot on node {node}: {err} (tag {} from rank {}, {} bytes)",
+        msg.tag,
+        msg.src,
+        msg.data.len()
+    ))
+}
+
+/// Record a Co-Pilot event in the trace log, naming the lane only when
+/// the log is on.
+fn trace_copilot(
+    ctx: &ProcCtx,
+    shared: &AppShared,
+    cell_id: usize,
+    op: crate::trace::TraceOp,
+    chan: usize,
+    bytes: usize,
+) {
+    if shared.trace.is_enabled() {
+        shared
+            .trace
+            .record(ctx.now(), &format!("copilot{cell_id}"), op, chan, bytes);
+    }
 }
 
 fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, standby: bool) {
@@ -210,7 +311,7 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
     let stall = shared.faults.stall_of(NodeId(cell.id));
     loop {
         let event = queue.pop(ctx);
-        ns.note_queue_pop(&ctx.name(), ctx.now().as_nanos());
+        ns.note_queue_pop(ctx);
         // Only this service loop touches the proxy tables while it runs —
         // a standby starts only after the primary retired — so holding the
         // guard across an event's (possibly blocking) handling is safe.
@@ -264,7 +365,8 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
             }
             CoEvent::Mpi(msg) if msg.tag == CP_MCAST_TAG => {
                 // Hierarchical broadcast: one wire message, local fan-out.
-                let (chans, data) = decode_mcast(&msg.data);
+                let (chans, data) =
+                    decode_mcast(&msg.data).unwrap_or_else(|e| malformed(ctx, cell.id, &msg, e));
                 for chan in chans {
                     let chan = chan as usize;
                     if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
@@ -282,7 +384,9 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                 // several small writes, each with its own payload. Unpack
                 // and deliver-or-park per entry, exactly as if each had
                 // arrived as its own message.
-                for (chan, data) in decode_bundle(&msg.data) {
+                let entries =
+                    decode_bundle(&msg.data).unwrap_or_else(|e| malformed(ctx, cell.id, &msg, e));
+                for (chan, data) in entries {
                     let chan = chan as usize;
                     if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
                         deliver(ctx, shared, cell, chan, &data, rr);
@@ -332,9 +436,10 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                         // rendezvous write the same (now unblocked) writer
                         // issues later.
                         complete(ctx, cell, hw, completion_ok(n));
-                        shared.trace.record(
-                            ctx.now(),
-                            &format!("copilot{}", cell.id),
+                        trace_copilot(
+                            ctx,
+                            shared,
+                            cell.id,
                             crate::trace::TraceOp::CopilotWrite,
                             chan,
                             n,
@@ -357,9 +462,10 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                         // call made on its behalf.
                         complete(ctx, cell, hw, completion_ok(n));
                         comm.send_bytes(dest_rank, CpTablesTag(chan), Datatype::Byte, n, data);
-                        shared.trace.record(
-                            ctx.now(),
-                            &format!("copilot{}", cell.id),
+                        trace_copilot(
+                            ctx,
+                            shared,
+                            cell.id,
                             crate::trace::TraceOp::CopilotWrite,
                             chan,
                             n,
@@ -402,9 +508,10 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                         let n = data.len();
                         comm.send_bytes(dest_rank, CpTablesTag(chan), Datatype::Byte, n, data);
                         complete(ctx, cell, hw, completion_ok(n));
-                        shared.trace.record(
-                            ctx.now(),
-                            &format!("copilot{}", cell.id),
+                        trace_copilot(
+                            ctx,
+                            shared,
+                            cell.id,
                             crate::trace::TraceOp::CopilotWrite,
                             chan,
                             n,
@@ -635,9 +742,10 @@ fn deliver_to_spe_eager(
         completion_ok_inline(data.len()),
         data.to_vec(),
     );
-    shared.trace.record(
-        ctx.now(),
-        &format!("copilot{}", cell.id),
+    trace_copilot(
+        ctx,
+        shared,
+        cell.id,
         crate::trace::TraceOp::CopilotDeliver,
         chan,
         data.len(),
@@ -670,9 +778,10 @@ fn deliver_to_spe(
         .expect("read buffer within local store");
     charge(ctx, cell.costs.memcpy_us(data.len(), 1));
     complete(ctx, cell, rr.hw, completion_ok(data.len()));
-    shared.trace.record(
-        ctx.now(),
-        &format!("copilot{}", cell.id),
+    trace_copilot(
+        ctx,
+        shared,
+        cell.id,
         crate::trace::TraceOp::CopilotDeliver,
         _chan,
         data.len(),
@@ -733,9 +842,10 @@ fn pair_type4(
     .expect("type-4 buffers within local stores");
     complete(ctx, cell, w.hw, completion_ok(w.len as usize));
     complete(ctx, cell, r.hw, completion_ok(w.len as usize));
-    shared.trace.record(
-        ctx.now(),
-        &format!("copilot{}", cell.id),
+    trace_copilot(
+        ctx,
+        shared,
+        cell.id,
         crate::trace::TraceOp::CopilotPair,
         _chan,
         w.len as usize,

@@ -68,19 +68,70 @@ pub fn encode_bundle(entries: &[(u32, Vec<u8>)]) -> Vec<u8> {
     out
 }
 
-/// Decode a coalesced bundle envelope into `(channel, payload)` entries.
-pub fn decode_bundle(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
-    let w = |i: usize| u32::from_be_bytes(bytes[i..i + 4].try_into().expect("bundle header"));
-    let n = w(0) as usize;
-    let mut entries = Vec::with_capacity(n);
-    let mut off = 4 + 8 * n;
-    for i in 0..n {
-        let chan = w(4 + 4 * i);
-        let len = w(4 + 4 * n + 4 * i) as usize;
-        entries.push((chan, bytes[off..off + len].to_vec()));
-        off += len;
+/// Why a Co-Pilot wire envelope failed to decode: it is truncated, or it
+/// carries bytes past its last entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MalformedEnvelope {
+    /// Which envelope part failed.
+    pub part: &'static str,
+}
+
+impl std::fmt::Display for MalformedEnvelope {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "malformed wire envelope: bad {}", self.part)
     }
-    entries
+}
+
+impl std::error::Error for MalformedEnvelope {}
+
+/// A bounds-checked cursor over wire bytes.
+struct Wire<'a>(&'a [u8]);
+
+impl<'a> Wire<'a> {
+    fn take(&mut self, n: usize, part: &'static str) -> Result<&'a [u8], MalformedEnvelope> {
+        if n > self.0.len() {
+            return Err(MalformedEnvelope { part });
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self, part: &'static str) -> Result<u32, MalformedEnvelope> {
+        let b = self.take(4, part)?;
+        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    /// `n` big-endian words, `n` read off the wire: checked against the
+    /// bytes actually present before anything is sized from it.
+    fn words(&mut self, n: usize, part: &'static str) -> Result<Vec<u32>, MalformedEnvelope> {
+        let len = n.checked_mul(4).ok_or(MalformedEnvelope { part })?;
+        Ok(self
+            .take(len, part)?
+            .chunks_exact(4)
+            .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    }
+}
+
+/// Decode a coalesced bundle envelope into `(channel, payload)` entries.
+/// Any truncation, or bytes past the last payload, is an error.
+pub fn decode_bundle(bytes: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, MalformedEnvelope> {
+    let mut wire = Wire(bytes);
+    let n = wire.u32("bundle count")? as usize;
+    let chans = wire.words(n, "bundle channels")?;
+    let lens = wire.words(n, "bundle lengths")?;
+    let entries = chans
+        .into_iter()
+        .zip(lens)
+        .map(|(chan, len)| Ok((chan, wire.take(len as usize, "bundle payload")?.to_vec())))
+        .collect::<Result<Vec<_>, _>>()?;
+    if !wire.0.is_empty() {
+        return Err(MalformedEnvelope {
+            part: "bundle length (trailing bytes)",
+        });
+    }
+    Ok(entries)
 }
 
 /// Encode a multicast payload: `[u32 n][u32 chan; n][data]`.
@@ -95,16 +146,11 @@ pub fn encode_mcast(chans: &[u32], data: &[u8]) -> Vec<u8> {
 }
 
 /// Decode a multicast payload into `(channels, data)`.
-pub fn decode_mcast(bytes: &[u8]) -> (Vec<u32>, Vec<u8>) {
-    let n = u32::from_be_bytes(bytes[0..4].try_into().expect("mcast header")) as usize;
-    let mut chans = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 4 + 4 * i;
-        chans.push(u32::from_be_bytes(
-            bytes[off..off + 4].try_into().expect("mcast chan"),
-        ));
-    }
-    (chans, bytes[4 + 4 * n..].to_vec())
+pub fn decode_mcast(bytes: &[u8]) -> Result<(Vec<u32>, Vec<u8>), MalformedEnvelope> {
+    let mut wire = Wire(bytes);
+    let n = wire.u32("mcast count")? as usize;
+    let chans = wire.words(n, "mcast channels")?;
+    Ok((chans, wire.0.to_vec()))
 }
 
 /// Size of a request block in SPE local store.
@@ -241,11 +287,63 @@ mod tests {
 
     #[test]
     fn mcast_roundtrip() {
-        let (chans, data) = decode_mcast(&encode_mcast(&[3, 7, 9], &[1, 2, 3]));
+        let (chans, data) = decode_mcast(&encode_mcast(&[3, 7, 9], &[1, 2, 3])).unwrap();
         assert_eq!(chans, vec![3, 7, 9]);
         assert_eq!(data, vec![1, 2, 3]);
-        let (chans, data) = decode_mcast(&encode_mcast(&[], &[]));
+        let (chans, data) = decode_mcast(&encode_mcast(&[], &[])).unwrap();
         assert!(chans.is_empty() && data.is_empty());
+    }
+
+    #[test]
+    fn huge_wire_counts_are_errors_not_allocations() {
+        let header = [0xFF; 4];
+        assert_eq!(
+            decode_bundle(&header),
+            Err(MalformedEnvelope {
+                part: "bundle channels"
+            })
+        );
+        assert_eq!(
+            decode_mcast(&header),
+            Err(MalformedEnvelope {
+                part: "mcast channels"
+            })
+        );
+        assert!(decode_bundle(&[]).is_err());
+        assert!(decode_mcast(&[0, 0]).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes decode to a value or an error, never a panic.
+        #[test]
+        fn decoders_are_total(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48)) {
+            let _ = decode_bundle(&bytes);
+            let _ = decode_mcast(&bytes);
+        }
+
+        /// Encode then decode is the identity, and every truncation of an
+        /// encoding is rejected or decodes without panicking.
+        #[test]
+        fn encode_decode_roundtrips(
+            entries in proptest::collection::vec(
+                (proptest::prelude::any::<u32>(), proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20)),
+                0..6,
+            ),
+            cut in 0usize..200,
+        ) {
+            let bundle = encode_bundle(&entries);
+            proptest::prop_assert_eq!(decode_bundle(&bundle), Ok(entries.clone()));
+            let chans: Vec<u32> = entries.iter().map(|(c, _)| *c).collect();
+            let data = entries.first().map(|(_, d)| d.clone()).unwrap_or_default();
+            let mcast = encode_mcast(&chans, &data);
+            proptest::prop_assert_eq!(decode_mcast(&mcast), Ok((chans, data)));
+            if cut < bundle.len() {
+                proptest::prop_assert!(decode_bundle(&bundle[..cut]).is_err());
+            }
+            let _ = decode_mcast(&mcast[..cut.min(mcast.len())]);
+        }
     }
 
     #[test]
@@ -260,8 +358,8 @@ mod tests {
             (7u32, Vec::new()),
             (9u32, vec![0xAA; 16]),
         ];
-        assert_eq!(decode_bundle(&encode_bundle(&entries)), entries);
-        assert!(decode_bundle(&encode_bundle(&[])).is_empty());
+        assert_eq!(decode_bundle(&encode_bundle(&entries)), Ok(entries));
+        assert_eq!(decode_bundle(&encode_bundle(&[])), Ok(Vec::new()));
     }
 
     #[test]

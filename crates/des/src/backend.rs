@@ -12,6 +12,7 @@
 
 use crate::error::{IncidentCategory, Pid};
 use crate::kernel::ProcCtx;
+use crate::reactor::{drive, Reactor, Reason};
 use crate::time::{SimDuration, SimTime};
 
 /// Which execution substrate runs the process/channel program.
@@ -71,16 +72,22 @@ pub trait Executor: Send + Sync {
     /// Let `pid` spend `d` of time computing.
     fn advance(&self, pid: Pid, d: SimDuration);
     /// Park `pid` until somebody unblocks it (or consume a pending wake).
-    fn block(&self, pid: Pid, reason: &str);
+    fn block(&self, pid: Pid, reason: Reason);
     /// Park `pid` until an unblock or the deadline, whichever first;
     /// `true` means woken (or pending wake consumed), `false` timed out.
-    fn block_timeout(&self, pid: Pid, reason: &str, timeout: SimDuration) -> bool;
+    fn block_timeout(&self, pid: Pid, reason: Reason, timeout: SimDuration) -> bool;
     /// Wake `pid` no earlier than `delay` from now (banked if not blocked).
     fn unblock(&self, pid: Pid, delay: SimDuration);
     /// Record a non-fatal degradation incident on behalf of `pid`.
     fn report_incident(&self, pid: Pid, category: IncidentCategory, detail: &str);
     /// Spawn a new process runnable now; returns its pid.
     fn spawn_boxed(&self, name: &str, body: ProcBody) -> Pid;
+    /// Spawn a [`Reactor`] process runnable now; returns its pid. The
+    /// default runs it on a thread of its own with [`drive`]; the DES
+    /// kernel hosts it inline instead, with the same schedule.
+    fn spawn_reactor(&self, name: &str, mut reactor: Box<dyn Reactor>) -> Pid {
+        self.spawn_boxed(name, Box::new(move |ctx| drive(ctx, &mut *reactor)))
+    }
     /// Block `me` until `target` finishes.
     fn join(&self, me: Pid, target: Pid);
     /// Abort the whole run with a diagnostic; unwinds the calling process.

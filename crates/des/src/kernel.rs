@@ -1,15 +1,24 @@
 //! The discrete-event kernel: virtual clock, event queue, and cooperative
-//! scheduling of thread-backed simulated processes.
+//! scheduling of simulated processes.
 //!
 //! # Execution model
 //!
-//! Every simulated process runs on its own OS thread, but the kernel grants
+//! A simulated process runs either on an OS thread of its own or, for a
+//! [`Reactor`], inline on whichever thread is dispatching. The kernel grants
 //! the CPU to **exactly one** process at a time, always the one owning the
-//! earliest `(virtual_time, sequence)` event in the queue. A process gives up
-//! the CPU only inside kernel calls ([`ProcCtx::advance`], [`ProcCtx::block`],
-//! [`ProcCtx::join`], or process exit), so between kernel calls a process may
-//! freely mutate shared state without data races *or* lost determinism: the
+//! earliest `(virtual_time, sequence)` event in the queue. A thread process
+//! gives up the CPU only inside kernel calls ([`ProcCtx::advance`],
+//! [`ProcCtx::block`], [`ProcCtx::join`], or process exit); a reactor gives
+//! it up by returning a [`Step`]. Between those points a process may freely
+//! mutate shared state without data races *or* lost determinism: the
 //! interleaving is a pure function of the event timestamps and spawn order.
+//!
+//! The process releasing the CPU runs the dispatcher itself. It steps any
+//! reactors that come due, outside the kernel lock and with no OS switch,
+//! until the next event belongs to a thread process. If that is the
+//! releasing process, it returns at once; otherwise it hands over a baton
+//! (`std::thread::park`/`unpark`) after dropping the lock, and the woken
+//! thread resumes without re-taking the lock.
 //!
 //! If the event queue drains while unfinished processes remain, every one of
 //! them is blocked with no possible waker: the kernel reports a
@@ -21,31 +30,105 @@
 
 use crate::backend::{Backend, Executor, ProcBody, Spawner};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
+use crate::reactor::{Poll, Reactor, Reason, Step};
 use crate::time::{SimDuration, SimTime};
 use cp_trace::Recorder;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::{JoinHandle, Thread};
 
 /// Payload used to unwind a simulated process when the simulation is torn
 /// down early (deadlock, abort, or another process panicking).
 struct SimUnwind;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum Status {
     /// Has an event in the queue; parked until that event is dispatched.
     Waiting,
     /// Currently owns the virtual CPU.
     Running,
     /// Parked with no queued event; needs an `unblock` to become Waiting.
-    Blocked(String),
-    /// Thread has exited.
+    Blocked(Reason),
+    /// Process has exited.
     Finished,
     /// Simulation is tearing down; parked threads must unwind on wake.
     Poisoned,
+}
+
+/// Grants a thread process's baton can carry.
+const IDLE: u8 = 0;
+const RUN: u8 = 1;
+const RUN_TIMED_OUT: u8 = 2;
+const POISON: u8 = 3;
+
+/// The wake-up slot of a thread process: the dispatcher stores a grant and
+/// unparks the thread, which consumes the grant without touching the
+/// kernel lock. The grant's `Release` store pairs with the `Acquire` load
+/// that consumes it, so everything the processes that ran before the
+/// handoff wrote is visible to the woken thread.
+struct Baton {
+    grant: AtomicU8,
+    /// Set by the spawner before the process can first be dispatched.
+    thread: OnceLock<Thread>,
+}
+
+impl Baton {
+    fn signal(&self, grant: u8) {
+        if grant == POISON {
+            self.grant.store(POISON, Ordering::Release);
+        } else if self
+            .grant
+            .compare_exchange(IDLE, grant, Ordering::Release, Ordering::Relaxed)
+            .is_err()
+        {
+            // Only a poison can be pending here, and it must win.
+            return;
+        }
+        if let Some(t) = self.thread.get() {
+            t.unpark();
+        }
+    }
+
+    /// Park until granted the CPU; `true` if the grant is a `block_timeout`
+    /// deadline rather than an `unblock`. Unwinds on teardown.
+    fn wait(&self) -> bool {
+        loop {
+            match self.grant.load(Ordering::Acquire) {
+                g @ (RUN | RUN_TIMED_OUT) => {
+                    if self
+                        .grant
+                        .compare_exchange(g, IDLE, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+                    {
+                        return g == RUN_TIMED_OUT;
+                    }
+                }
+                // resume_unwind skips the panic hook: teardown unwinds are
+                // expected control flow, not reportable panics.
+                POISON => panic::resume_unwind(Box::new(SimUnwind)),
+                _ => std::thread::park(),
+            }
+        }
+    }
+}
+
+/// A reactor and the context its steps receive.
+struct Hosted {
+    reactor: Box<dyn Reactor>,
+    ctx: ProcCtx,
+}
+
+/// Where a process's code runs.
+enum Body {
+    /// On its own OS thread, woken through its baton.
+    Thread(Arc<Baton>),
+    /// Inline on the dispatching thread. `None` while a step runs and once
+    /// the reactor has exited.
+    Reactor(Option<Hosted>),
 }
 
 struct ProcSlot {
@@ -59,12 +142,9 @@ struct ProcSlot {
     /// invalidates stale timeout events left behind when a timed block is
     /// woken early by `unblock`.
     expected_seq: Option<u64>,
-    /// Set by dispatch when the wake came from a `block_timeout` deadline
-    /// rather than an `unblock`; consumed by `block_timeout` on resume.
-    timed_out: bool,
     /// Processes blocked in `join` on this process.
     join_waiters: Vec<Pid>,
-    cv: Arc<Condvar>,
+    body: Body,
 }
 
 enum Outcome {
@@ -106,6 +186,24 @@ fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// What a process that released the CPU does once dispatch returns.
+enum Handoff {
+    /// Its own event came next: carry on at once (`true` if that event is
+    /// a `block_timeout` deadline).
+    Resume(bool),
+    /// Another thread holds the CPU now: wait on the baton.
+    Park,
+}
+
+/// The message of a genuine (non-teardown) panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".into())
 }
 
 pub(crate) struct Kernel {
@@ -162,14 +260,28 @@ impl Kernel {
         st.queue.push(Reverse((at.0, tie, seq, pid)));
     }
 
-    /// Hand the virtual CPU to the owner of the earliest event, or end the
-    /// simulation (completion or deadlock). Caller must have already released
-    /// the CPU (`cpu_busy == false`).
-    fn dispatch(&self, st: &mut KState) {
-        debug_assert!(!st.cpu_busy);
-        if st.outcome.is_some() {
-            return;
-        }
+    /// Register a new process, runnable at the current time.
+    fn add_process(st: &mut KState, name: &str, body: Body) -> Pid {
+        let pid = st.procs.len();
+        st.procs.push(ProcSlot {
+            name: name.to_string(),
+            status: Status::Waiting,
+            pending_wakes: 0,
+            expected_seq: None,
+            join_waiters: Vec::new(),
+            body,
+        });
+        st.live += 1;
+        let now = st.now;
+        Kernel::push_event(st, now, pid);
+        pid
+    }
+
+    /// Pop the earliest live event and grant its owner the CPU, returning
+    /// the owner and whether the event is a `block_timeout` deadline. With
+    /// no runnable event left the run ends — completed, or deadlocked — and
+    /// `None` is returned, as it is when the time limit is passed.
+    fn next_event(&self, st: &mut KState) -> Option<(Pid, bool)> {
         while let Some(Reverse((t, _tie, seq, pid))) = st.queue.pop() {
             // A popped event is live only if it is the most recent one pushed
             // for its process; superseded events (e.g. a timeout whose block
@@ -188,22 +300,19 @@ impl Kernel {
             debug_assert!(t >= st.now.0, "event queue went backwards");
             if let Some(limit) = st.limit {
                 if SimTime(t) > limit {
-                    let err = SimError::TimeLimitExceeded { limit };
-                    self.fail(st, err);
-                    return;
+                    self.fail(st, SimError::TimeLimitExceeded { limit });
+                    return None;
                 }
             }
             st.now = SimTime(t);
             st.procs[pid].status = Status::Running;
-            st.procs[pid].timed_out = timed_wake;
             st.cpu_busy = true;
             st.dispatches += 1;
             st.recorder.record_dispatch(st.now.0, st.queue.len());
             if let Some(trace) = st.trace.as_mut() {
                 trace.push((st.now, pid));
             }
-            st.procs[pid].cv.notify_one();
-            return;
+            return Some((pid, timed_wake));
         }
         // No runnable event. Either everything finished or we are deadlocked.
         if st.live == 0 {
@@ -214,7 +323,7 @@ impl Kernel {
                 .iter()
                 .enumerate()
                 .filter_map(|(pid, p)| match &p.status {
-                    Status::Blocked(reason) => Some((pid, p.name.clone(), reason.clone())),
+                    Status::Blocked(reason) => Some((pid, p.name.clone(), reason.to_string())),
                     _ => None,
                 })
                 .collect();
@@ -225,41 +334,121 @@ impl Kernel {
             self.poison(st);
         }
         self.done_cv.notify_all();
+        None
     }
 
-    /// Mark all parked processes poisoned and wake them so their threads can
-    /// unwind and exit.
-    fn poison(&self, st: &mut KState) {
-        for p in st.procs.iter_mut() {
-            match p.status {
-                Status::Waiting | Status::Blocked(_) => {
-                    p.status = Status::Poisoned;
-                    p.cv.notify_one();
+    /// Hand the virtual CPU to the owner of the earliest event, or end the
+    /// simulation (completion or deadlock). `me` is the thread process that
+    /// just released the CPU (`None` for an exiting process or `Simulation::run`).
+    /// Reactors that come due are stepped right here; the loop ends at the
+    /// first thread process, which is signalled after the lock is dropped.
+    fn dispatch<'k>(&'k self, mut st: MutexGuard<'k, KState>, me: Option<Pid>) -> Handoff {
+        debug_assert!(!st.cpu_busy);
+        loop {
+            if st.outcome.is_some() {
+                if me.is_some() {
+                    drop(st);
+                    panic::resume_unwind(Box::new(SimUnwind));
                 }
-                _ => {}
+                return Handoff::Park;
+            }
+            let Some((pid, timed)) = self.next_event(&mut st) else {
+                continue;
+            };
+            match &mut st.procs[pid].body {
+                Body::Thread(baton) => {
+                    if me == Some(pid) {
+                        return Handoff::Resume(timed);
+                    }
+                    let baton = baton.clone();
+                    drop(st);
+                    baton.signal(if timed { RUN_TIMED_OUT } else { RUN });
+                    return Handoff::Park;
+                }
+                Body::Reactor(hosted) => {
+                    let hosted = hosted.take().expect("a dispatched reactor is not mid-step");
+                    drop(st);
+                    st = self.step_reactor(pid, hosted);
+                }
             }
         }
     }
 
-    /// Park the calling process until it is granted the CPU. Must be called
-    /// with `pid`'s status already set to Waiting/Blocked and the CPU
-    /// released. Unwinds if the simulation is tearing down.
-    fn park(&self, pid: Pid) {
-        let cv = {
-            let st = self.state.lock();
-            st.procs[pid].cv.clone()
-        };
-        let mut st = self.state.lock();
+    /// Run reactor `pid`'s steps (a banked wake turns a `Block` into another
+    /// step at once), then record how it yielded and release the CPU.
+    fn step_reactor(&self, pid: Pid, mut hosted: Hosted) -> MutexGuard<'_, KState> {
         loop {
-            match &st.procs[pid].status {
-                Status::Running => return,
-                Status::Poisoned => {
-                    drop(st);
-                    // resume_unwind skips the panic hook: teardown unwinds are
-                    // expected control flow, not reportable panics.
-                    panic::resume_unwind(Box::new(SimUnwind));
+            let result = panic::catch_unwind(AssertUnwindSafe(|| hosted.reactor.step(&hosted.ctx)));
+            let step = match result {
+                Ok(Step::Exit) => {
+                    drop(hosted);
+                    let mut st = self.state.lock();
+                    self.retire(&mut st, pid);
+                    return st;
                 }
-                _ => cv.wait(&mut st),
+                Err(payload) => {
+                    drop(hosted);
+                    let mut st = self.state.lock();
+                    self.retire(&mut st, pid);
+                    if payload.downcast_ref::<SimUnwind>().is_none() {
+                        let name = st.procs[pid].name.clone();
+                        let message = panic_message(&*payload);
+                        self.fail(&mut st, SimError::ProcessPanicked { pid, name, message });
+                    }
+                    return st;
+                }
+                Ok(step) => step,
+            };
+            let mut st = self.state.lock();
+            match step {
+                Step::Advance(d) => {
+                    let at = st.now + d;
+                    Kernel::push_event(&mut st, at, pid);
+                    st.procs[pid].status = Status::Waiting;
+                }
+                Step::Block(reason) => {
+                    if st.procs[pid].pending_wakes > 0 {
+                        st.procs[pid].pending_wakes -= 1;
+                        continue;
+                    }
+                    st.procs[pid].status = Status::Blocked(reason);
+                }
+                Step::Exit => unreachable!("handled above"),
+            }
+            st.procs[pid].body = Body::Reactor(Some(hosted));
+            st.cpu_busy = false;
+            return st;
+        }
+    }
+
+    /// Mark `pid` finished, release its joiners and the CPU.
+    fn retire(&self, st: &mut KState, pid: Pid) {
+        st.procs[pid].status = Status::Finished;
+        st.live -= 1;
+        let waiters = std::mem::take(&mut st.procs[pid].join_waiters);
+        let now = st.now;
+        for w in waiters {
+            match st.procs[w].status {
+                Status::Blocked(_) => {
+                    st.procs[w].status = Status::Waiting;
+                    Kernel::push_event(st, now, w);
+                }
+                Status::Finished | Status::Poisoned => {}
+                _ => st.procs[w].pending_wakes += 1,
+            }
+        }
+        st.cpu_busy = false;
+    }
+
+    /// Mark all parked processes poisoned and wake the threads among them so
+    /// they can unwind and exit.
+    fn poison(&self, st: &mut KState) {
+        for p in st.procs.iter_mut() {
+            if matches!(p.status, Status::Waiting | Status::Blocked(_)) {
+                p.status = Status::Poisoned;
+                if let Body::Thread(baton) = &p.body {
+                    baton.signal(POISON);
+                }
             }
         }
     }
@@ -270,6 +459,49 @@ impl Kernel {
         }
         self.poison(st);
         self.done_cv.notify_all();
+    }
+
+    /// The baton of thread process `pid`, which is making the blocking call
+    /// `call`. A reactor making one fails its step: it must yield a
+    /// [`Step`] instead.
+    fn own_baton(st: &KState, pid: Pid, call: &str) -> Arc<Baton> {
+        match &st.procs[pid].body {
+            Body::Thread(baton) => baton.clone(),
+            Body::Reactor(_) => panic!(
+                "reactor '{}' called the blocking ProcCtx::{call} inside a step; \
+                 a step must return a Step instead",
+                st.procs[pid].name
+            ),
+        }
+    }
+
+    /// Release the CPU held by thread process `pid` (its status already
+    /// updated) and return once it is granted the CPU again: `true` if by a
+    /// `block_timeout` deadline.
+    fn switch<'k>(&'k self, st: MutexGuard<'k, KState>, pid: Pid, baton: &Baton) -> bool {
+        match self.dispatch(st, Some(pid)) {
+            Handoff::Resume(timed) => timed,
+            Handoff::Park => baton.wait(),
+        }
+    }
+
+    /// Block thread process `pid` with `reason`, and a deadline if
+    /// `timeout` is given; `true` if that deadline woke it.
+    fn block_for(&self, pid: Pid, reason: Reason, timeout: Option<SimDuration>) -> bool {
+        let mut st = self.state.lock();
+        let baton = Kernel::own_baton(&st, pid, "block");
+        debug_assert!(matches!(st.procs[pid].status, Status::Running));
+        if st.procs[pid].pending_wakes > 0 {
+            st.procs[pid].pending_wakes -= 1;
+            return false;
+        }
+        st.procs[pid].status = Status::Blocked(reason);
+        if let Some(timeout) = timeout {
+            let at = st.now + timeout;
+            Kernel::push_event(&mut st, at, pid);
+        }
+        st.cpu_busy = false;
+        self.switch(st, pid, &baton)
     }
 }
 
@@ -287,53 +519,22 @@ impl Executor for Kernel {
     }
 
     fn advance(&self, pid: Pid, d: SimDuration) {
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.procs[pid].status, Status::Running);
-            let at = st.now + d;
-            Kernel::push_event(&mut st, at, pid);
-            st.procs[pid].status = Status::Waiting;
-            st.cpu_busy = false;
-            self.dispatch(&mut st);
-        }
-        self.park(pid);
-    }
-
-    fn block(&self, pid: Pid, reason: &str) {
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.procs[pid].status, Status::Running);
-            if st.procs[pid].pending_wakes > 0 {
-                st.procs[pid].pending_wakes -= 1;
-                return;
-            }
-            st.procs[pid].status = Status::Blocked(reason.to_string());
-            st.cpu_busy = false;
-            self.dispatch(&mut st);
-        }
-        self.park(pid);
-    }
-
-    fn block_timeout(&self, pid: Pid, reason: &str, timeout: SimDuration) -> bool {
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.procs[pid].status, Status::Running);
-            if st.procs[pid].pending_wakes > 0 {
-                st.procs[pid].pending_wakes -= 1;
-                return true;
-            }
-            let at = st.now + timeout;
-            st.procs[pid].status = Status::Blocked(reason.to_string());
-            st.procs[pid].timed_out = false;
-            Kernel::push_event(&mut st, at, pid);
-            st.cpu_busy = false;
-            self.dispatch(&mut st);
-        }
-        self.park(pid);
         let mut st = self.state.lock();
-        let timed_out = st.procs[pid].timed_out;
-        st.procs[pid].timed_out = false;
-        !timed_out
+        let baton = Kernel::own_baton(&st, pid, "advance");
+        debug_assert!(matches!(st.procs[pid].status, Status::Running));
+        let at = st.now + d;
+        Kernel::push_event(&mut st, at, pid);
+        st.procs[pid].status = Status::Waiting;
+        st.cpu_busy = false;
+        self.switch(st, pid, &baton);
+    }
+
+    fn block(&self, pid: Pid, reason: Reason) {
+        self.block_for(pid, reason, None);
+    }
+
+    fn block_timeout(&self, pid: Pid, reason: Reason, timeout: SimDuration) -> bool {
+        !self.block_for(pid, reason, Some(timeout))
     }
 
     fn unblock(&self, pid: Pid, delay: SimDuration) {
@@ -368,16 +569,22 @@ impl Executor for Kernel {
         spawn_process(&kernel, name, body)
     }
 
+    fn spawn_reactor(&self, name: &str, reactor: Box<dyn Reactor>) -> Pid {
+        let kernel = self.me.upgrade().expect("kernel alive while spawning");
+        host_reactor(&kernel, name, reactor)
+    }
+
     fn join(&self, me: Pid, target: Pid) {
         loop {
             {
                 let mut st = self.state.lock();
-                if st.procs[target].status == Status::Finished {
+                if matches!(st.procs[target].status, Status::Finished) {
                     return;
                 }
+                Kernel::own_baton(&st, me, "join");
                 st.procs[target].join_waiters.push(me);
             }
-            self.block(me, &format!("join(pid={target})"));
+            self.block(me, Reason::join(target));
         }
     }
 
@@ -459,8 +666,8 @@ impl ProcCtx {
     ///
     /// If an unblock was already delivered while this process was running
     /// (a "pending wake"), the call consumes it and returns immediately.
-    pub fn block(&self, reason: &str) {
-        self.exec.block(self.pid, reason);
+    pub fn block(&self, reason: impl Into<Reason>) {
+        self.exec.block(self.pid, reason.into());
     }
 
     /// Park this process until another process calls [`ProcCtx::unblock`] on
@@ -470,8 +677,22 @@ impl ProcCtx {
     /// pending wake without parking) and `false` if the deadline fired. On a
     /// timeout the clock reads exactly `block-time + timeout`. A stale
     /// deadline left behind by an early wake is discarded, never delivered.
-    pub fn block_timeout(&self, reason: &str, timeout: SimDuration) -> bool {
-        self.exec.block_timeout(self.pid, reason, timeout)
+    pub fn block_timeout(&self, reason: impl Into<Reason>, timeout: SimDuration) -> bool {
+        self.exec.block_timeout(self.pid, reason.into(), timeout)
+    }
+
+    /// Carry a non-blocking poll core through to its value on this
+    /// process's thread: take each pending [`Step`] (advance or block) and
+    /// poll again. `None` if the core asked the process to exit.
+    pub fn drive_poll<T>(&self, mut poll: impl FnMut() -> Poll<T>) -> Option<T> {
+        loop {
+            match poll() {
+                Poll::Ready(v) => return Some(v),
+                Poll::Pending(Step::Advance(d)) => self.advance(d),
+                Poll::Pending(Step::Block(reason)) => self.block(reason),
+                Poll::Pending(Step::Exit) => return None,
+            }
+        }
     }
 
     /// Record a non-fatal degradation [`Incident`] (e.g. "peer rank died,
@@ -499,6 +720,13 @@ impl ProcCtx {
         self.exec.spawn_boxed(name, Box::new(f))
     }
 
+    /// Spawn a [`Reactor`] process, runnable at the current virtual time.
+    /// The DES kernel steps it inline with no thread of its own; other
+    /// backends drive it on a thread. The schedule is the same either way.
+    pub fn spawn_reactor(&self, name: &str, reactor: impl Reactor + 'static) -> Pid {
+        self.exec.spawn_reactor(name, Box::new(reactor))
+    }
+
     /// Block until process `pid` finishes.
     pub fn join(&self, pid: Pid) {
         self.exec.join(self.pid, pid);
@@ -513,66 +741,46 @@ impl ProcCtx {
 }
 
 fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
-    let pid;
-    {
-        let mut st = kernel.state.lock();
-        pid = st.procs.len();
-        st.procs.push(ProcSlot {
-            name: name.to_string(),
-            status: Status::Waiting,
-            pending_wakes: 0,
-            expected_seq: None,
-            timed_out: false,
-            join_waiters: Vec::new(),
-            cv: Arc::new(Condvar::new()),
-        });
-        st.live += 1;
-        let now = st.now;
-        Kernel::push_event(&mut st, now, pid);
-    }
+    let baton = Arc::new(Baton {
+        grant: AtomicU8::new(IDLE),
+        thread: OnceLock::new(),
+    });
+    let pid = Kernel::add_process(&mut kernel.state.lock(), name, Body::Thread(baton.clone()));
     let kern = kernel.clone();
-    let tname = name.to_string();
+    let thread_baton = baton.clone();
     let handle = std::thread::Builder::new()
-        .name(format!("sim-{tname}"))
+        .name(format!("sim-{name}"))
         .spawn(move || {
             let ctx = ProcCtx::from_executor(kern.clone(), pid);
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                kern.park(pid);
+                thread_baton.wait();
                 f(&ctx)
             }));
             let mut st = kern.state.lock();
-            st.procs[pid].status = Status::Finished;
-            st.live -= 1;
-            let waiters = std::mem::take(&mut st.procs[pid].join_waiters);
-            let now = st.now;
-            for w in waiters {
-                match st.procs[w].status {
-                    Status::Blocked(_) => {
-                        st.procs[w].status = Status::Waiting;
-                        Kernel::push_event(&mut st, now, w);
-                    }
-                    Status::Finished | Status::Poisoned => {}
-                    _ => st.procs[w].pending_wakes += 1,
-                }
-            }
+            kern.retire(&mut st, pid);
             if let Err(payload) = result {
                 if payload.downcast_ref::<SimUnwind>().is_none() {
                     // A genuine panic in user/library code: fail the run.
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into());
                     let name = st.procs[pid].name.clone();
+                    let message = panic_message(&*payload);
                     kern.fail(&mut st, SimError::ProcessPanicked { pid, name, message });
                 }
             }
-            st.cpu_busy = false;
-            kern.dispatch(&mut st);
+            kern.dispatch(st, None);
         })
         .expect("failed to spawn simulation thread");
+    // The spawner holds the CPU (or the run has not started), so the new
+    // process cannot be dispatched before its baton knows its thread.
+    let _ = baton.thread.set(handle.thread().clone());
     kernel.handles.lock().push(handle);
     pid
+}
+
+fn host_reactor(kernel: &Arc<Kernel>, name: &str, reactor: Box<dyn Reactor>) -> Pid {
+    let mut st = kernel.state.lock();
+    let pid = st.procs.len();
+    let ctx = ProcCtx::from_executor(kernel.clone(), pid);
+    Kernel::add_process(&mut st, name, Body::Reactor(Some(Hosted { reactor, ctx })))
 }
 
 /// A complete simulation: build it, spawn root processes, then [`run`].
@@ -650,12 +858,18 @@ impl Simulation {
         spawn_process(&self.kernel, name, Box::new(f))
     }
 
+    /// Spawn a root [`Reactor`], runnable at t = 0 and stepped inline by
+    /// the kernel.
+    pub fn spawn_reactor(&mut self, name: &str, reactor: impl Reactor + 'static) -> Pid {
+        host_reactor(&self.kernel, name, Box::new(reactor))
+    }
+
     /// Drive the simulation to completion, returning the report or the first
     /// failure (deadlock, panic, or abort).
     pub fn run(self) -> Result<SimReport, SimError> {
+        self.kernel.dispatch(self.kernel.state.lock(), None);
         {
             let mut st = self.kernel.state.lock();
-            self.kernel.dispatch(&mut st);
             while st.outcome.is_none() {
                 self.kernel.done_cv.wait(&mut st);
             }
@@ -666,7 +880,18 @@ impl Simulation {
             let _ = h.join();
         }
         let mut st = self.kernel.state.lock();
-        match st.outcome.take().expect("outcome present") {
+        // Reactors left parked hold contexts that point back at the kernel:
+        // drop them (outside the lock) to free the simulation.
+        let parked: Vec<Hosted> = st
+            .procs
+            .iter_mut()
+            .filter_map(|p| match &mut p.body {
+                Body::Reactor(hosted) => hosted.take(),
+                Body::Thread(_) => None,
+            })
+            .collect();
+        let outcome = st.outcome.take().expect("outcome present");
+        let report = match outcome {
             Outcome::Completed => {
                 let mut incidents = std::mem::take(&mut st.incidents);
                 crate::error::sort_incidents(&mut incidents);
@@ -679,7 +904,10 @@ impl Simulation {
                 })
             }
             Outcome::Failed(e) => Err(e),
-        }
+        };
+        drop(st);
+        drop(parked);
+        report
     }
 }
 

@@ -3,10 +3,12 @@
 //! # cp-des — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the CellPilot reproduction: a virtual-time kernel in
-//! which every simulated process (a PPE thread, an SPE program, an MPI rank,
-//! a Co-Pilot service) runs as a real OS thread, yet execution is serialized
-//! in strict `(virtual_time, sequence)` order, so every run is deterministic
-//! and every latency is an explicit, modelled quantity.
+//! which simulated processes (a PPE thread, an SPE program, an MPI rank, a
+//! Co-Pilot service) run either on an OS thread of their own or, for
+//! reactive helpers, as kernel-hosted [`Reactor`]s stepped inline by the
+//! dispatching thread. Either way execution is serialized in strict
+//! `(virtual_time, sequence)` order, so every run is deterministic and
+//! every latency is an explicit, modelled quantity.
 //!
 //! Layers above this crate:
 //!
@@ -39,10 +41,12 @@
 mod backend;
 mod error;
 mod kernel;
+mod reactor;
 pub mod sync;
 mod time;
 
 pub use backend::{Backend, Executor, ProcBody, Spawner};
 pub use error::{sort_incidents, Incident, IncidentCategory, Pid, SimError, SimReport};
 pub use kernel::{ProcCtx, Simulation};
+pub use reactor::{drive, Poll, Reactor, Reason, Step};
 pub use time::{SimDuration, SimTime};

@@ -5,10 +5,12 @@
 //! kernel's virtual clock: a message can carry an *availability time* so a
 //! receiver resumes exactly when the modelled transfer completes, and all
 //! blocking operations park the calling process with a descriptive reason
-//! that shows up in deadlock diagnostics.
+//! that shows up in deadlock diagnostics. [`MsgQueue::poll_pop`] is the
+//! non-blocking core a kernel-hosted [`crate::Reactor`] receives with.
 
 use crate::error::Pid;
 use crate::kernel::ProcCtx;
+use crate::reactor::{Poll, Reason, Step};
 use crate::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -18,7 +20,7 @@ struct QueueState<T> {
     items: VecDeque<(SimTime, T)>,
     pop_waiters: VecDeque<Pid>,
     push_waiters: VecDeque<Pid>,
-    label: String,
+    label: Arc<str>,
 }
 
 /// A FIFO message queue between simulated processes.
@@ -49,7 +51,7 @@ impl<T> MsgQueue<T> {
                 items: VecDeque::new(),
                 pop_waiters: VecDeque::new(),
                 push_waiters: VecDeque::new(),
-                label: label.to_string(),
+                label: Arc::from(label),
             })),
             capacity,
         }
@@ -70,7 +72,7 @@ impl<T> MsgQueue<T> {
     pub fn push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) {
         let mut item = Some(item);
         loop {
-            let label;
+            let reason;
             {
                 let mut st = self.state.lock();
                 if self.capacity.is_none_or(|c| st.items.len() < c) {
@@ -81,11 +83,10 @@ impl<T> MsgQueue<T> {
                     }
                     return;
                 }
-                let me = ctx.pid();
-                st.push_waiters.push_back(me);
-                label = st.label.clone();
+                st.push_waiters.push_back(ctx.pid());
+                reason = Reason::new("push (queue full)").on(&st.label);
             }
-            ctx.block(&format!("{label}: push (queue full)"));
+            ctx.block(reason);
         }
     }
 
@@ -107,30 +108,30 @@ impl<T> MsgQueue<T> {
     /// Dequeue the front message, blocking while the queue is empty and
     /// advancing virtual time to the message's availability instant.
     pub fn pop(&self, ctx: &ProcCtx) -> T {
-        loop {
-            let label;
-            {
-                let mut st = self.state.lock();
-                if let Some(&(avail, _)) = st.items.front() {
-                    if avail <= ctx.now() {
-                        let (_, item) = st.items.pop_front().unwrap();
-                        if let Some(w) = st.push_waiters.pop_front() {
-                            ctx.unblock(w, SimDuration::ZERO);
-                        }
-                        return item;
-                    }
-                    // Front message still in flight: wait for it.
-                    let wait = avail - ctx.now();
-                    drop(st);
-                    ctx.advance(wait);
-                    continue;
-                }
-                let me = ctx.pid();
-                st.pop_waiters.push_back(me);
-                label = st.label.clone();
+        ctx.drive_poll(|| self.poll_pop(ctx))
+            .expect("a queue pop never exits")
+    }
+
+    /// The non-blocking core of [`MsgQueue::pop`]: the front message if it
+    /// is available now; otherwise the step to take before polling again —
+    /// advance to the front message's availability instant, or block (the
+    /// caller is registered as a waiter) while the queue is empty.
+    pub fn poll_pop(&self, ctx: &ProcCtx) -> Poll<T> {
+        let mut st = self.state.lock();
+        if let Some(&(avail, _)) = st.items.front() {
+            let now = ctx.now();
+            if avail > now {
+                // Front message still in flight: wait for it.
+                return Poll::Pending(Step::Advance(avail - now));
             }
-            ctx.block(&format!("{label}: pop (queue empty)"));
+            let (_, item) = st.items.pop_front().expect("front checked above");
+            if let Some(w) = st.push_waiters.pop_front() {
+                ctx.unblock(w, SimDuration::ZERO);
+            }
+            return Poll::Ready(item);
         }
+        st.pop_waiters.push_back(ctx.pid());
+        Poll::Pending(Step::Block(Reason::new("pop (queue empty)").on(&st.label)))
     }
 
     /// Dequeue the front message if one is available *now*; never blocks and
@@ -164,7 +165,7 @@ pub struct SimSemaphore {
 struct SemState {
     permits: u64,
     waiters: VecDeque<Pid>,
-    label: String,
+    label: Arc<str>,
 }
 
 impl Clone for SimSemaphore {
@@ -182,7 +183,7 @@ impl SimSemaphore {
             state: Arc::new(Mutex::new(SemState {
                 permits,
                 waiters: VecDeque::new(),
-                label: label.to_string(),
+                label: Arc::from(label),
             })),
         }
     }
@@ -190,18 +191,17 @@ impl SimSemaphore {
     /// Take one permit, blocking until one is available.
     pub fn acquire(&self, ctx: &ProcCtx) {
         loop {
-            let label;
+            let reason;
             {
                 let mut st = self.state.lock();
                 if st.permits > 0 {
                     st.permits -= 1;
                     return;
                 }
-                let me = ctx.pid();
-                st.waiters.push_back(me);
-                label = st.label.clone();
+                st.waiters.push_back(ctx.pid());
+                reason = Reason::new("acquire").on(&st.label);
             }
-            ctx.block(&format!("{label}: acquire"));
+            ctx.block(reason);
         }
     }
 
@@ -230,7 +230,7 @@ struct BarrierState {
     arrived: usize,
     generation: u64,
     waiters: Vec<Pid>,
-    label: String,
+    label: Arc<str>,
 }
 
 impl Clone for SimBarrier {
@@ -251,7 +251,7 @@ impl SimBarrier {
                 arrived: 0,
                 generation: 0,
                 waiters: Vec::new(),
-                label: label.to_string(),
+                label: Arc::from(label),
             })),
             parties,
         }
@@ -261,7 +261,7 @@ impl SimBarrier {
     /// per generation (the "leader", the last to arrive).
     pub fn wait(&self, ctx: &ProcCtx) -> bool {
         let my_gen;
-        let label;
+        let reason;
         {
             let mut st = self.state.lock();
             st.arrived += 1;
@@ -275,12 +275,11 @@ impl SimBarrier {
                 }
                 return true;
             }
-            let me = ctx.pid();
-            st.waiters.push(me);
-            label = st.label.clone();
+            st.waiters.push(ctx.pid());
+            reason = Reason::new("barrier wait").on(&st.label);
         }
         loop {
-            ctx.block(&format!("{label}: barrier wait"));
+            ctx.block(reason.clone());
             let st = self.state.lock();
             if st.generation != my_gen {
                 return false;

@@ -7,7 +7,7 @@
 //! between any one sender/receiver pair.
 
 use crate::datatype::Datatype;
-use cp_des::{Pid, ProcCtx, SimDuration, SimTime};
+use cp_des::{Pid, Poll, ProcCtx, Reason, SimDuration, SimTime, Step};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -84,8 +84,8 @@ impl Envelope {
     }
 }
 
-/// Unwind payload raised when a process touches the mailbox of a rank that a
-/// fault plan has killed. [`crate::MpiWorld::launch`] catches it and retires
+/// Unwind payload raised when a thread process touches the mailbox of a rank
+/// that a fault plan has killed (a poll core returns [`Step::Exit`] instead). [`crate::MpiWorld::launch`] catches it and retires
 /// the rank's process cleanly instead of failing the whole simulation.
 pub(crate) struct RankDeadUnwind;
 
@@ -114,7 +114,7 @@ struct StoreInner {
     arrived: Vec<(SimTime, u64, Envelope)>,
     next_arrival: u64,
     waiters: VecDeque<Pid>,
-    label: String,
+    label: Arc<str>,
     /// Set when the owning rank is killed by a fault plan: deliveries are
     /// discarded and the owner's receives unwind with [`RankDeadUnwind`].
     poisoned: bool,
@@ -148,7 +148,7 @@ impl MailStore {
                 arrived: Vec::new(),
                 next_arrival: 0,
                 waiters: VecDeque::new(),
-                label: label.to_string(),
+                label: Arc::from(label),
                 poisoned: false,
                 seen: HashSet::new(),
                 forward_to: None,
@@ -255,43 +255,58 @@ impl MailStore {
         self.inner.lock().poisoned
     }
 
+    /// The earliest-arriving queued envelope matching `pred`: its index
+    /// and arrival instant.
+    fn best_match(st: &StoreInner, pred: impl Fn(&Envelope) -> bool) -> Option<(usize, SimTime)> {
+        st.arrived
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, _, e))| pred(e))
+            .min_by_key(|(_, (at, seq, _))| (*at, *seq))
+            .map(|(i, (at, _, _))| (i, *at))
+    }
+
     /// Blocking receive of the envelope matching `pred`, honouring arrival
     /// times. Among simultaneously-matching envelopes the earliest-arriving
-    /// wins, which preserves per-pair FIFO order.
-    pub fn recv_where<F>(&self, ctx: &ProcCtx, what: &str, pred: F) -> Envelope
+    /// wins, which preserves per-pair FIFO order. Unwinds as dead if the
+    /// store is poisoned or retired (absorb with [`absorb_rank_death`]).
+    pub fn recv_where<F>(&self, ctx: &ProcCtx, what: impl Into<Reason>, pred: F) -> Envelope
     where
         F: Fn(&Envelope) -> bool,
     {
-        loop {
-            let label;
-            {
-                let mut st = self.inner.lock();
-                if st.poisoned || st.forward_to.is_some() {
-                    drop(st);
-                    std::panic::resume_unwind(Box::new(RankDeadUnwind));
+        let what = what.into();
+        match ctx.drive_poll(|| self.poll_recv_where(ctx, &what, &pred)) {
+            Some(env) => env,
+            None => std::panic::resume_unwind(Box::new(RankDeadUnwind)),
+        }
+    }
+
+    /// The non-blocking core of [`MailStore::recv_where`]: the matching
+    /// envelope if it has arrived; otherwise the step to take before polling
+    /// again — advance to its arrival instant, block (registered as a
+    /// waiter, `what` naming the wait) while none matches, or exit because
+    /// the store is poisoned or retired.
+    pub fn poll_recv_where<F>(&self, ctx: &ProcCtx, what: &Reason, pred: F) -> Poll<Envelope>
+    where
+        F: Fn(&Envelope) -> bool,
+    {
+        let mut st = self.inner.lock();
+        if st.poisoned || st.forward_to.is_some() {
+            return Poll::Pending(Step::Exit);
+        }
+        match Self::best_match(&st, pred) {
+            Some((idx, at)) => {
+                let now = ctx.now();
+                if at <= now {
+                    Poll::Ready(st.arrived.remove(idx).2)
+                } else {
+                    Poll::Pending(Step::Advance(at - now))
                 }
-                let best = st
-                    .arrived
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, e))| pred(e))
-                    .min_by_key(|(_, (at, seq, _))| (*at, *seq))
-                    .map(|(i, (at, _, _))| (i, *at));
-                if let Some((idx, at)) = best {
-                    if at <= ctx.now() {
-                        let (_, _, env) = st.arrived.remove(idx);
-                        return env;
-                    }
-                    let wait = at - ctx.now();
-                    drop(st);
-                    ctx.advance(wait);
-                    continue;
-                }
-                let me = ctx.pid();
-                st.waiters.push_back(me);
-                label = st.label.clone();
             }
-            ctx.block(&format!("{label}: {what}"));
+            None => {
+                st.waiters.push_back(ctx.pid());
+                Poll::Pending(Step::Block(what.clone().on(&st.label)))
+            }
         }
     }
 
@@ -302,30 +317,24 @@ impl MailStore {
     pub fn recv_where_deadline<F>(
         &self,
         ctx: &ProcCtx,
-        what: &str,
+        what: impl Into<Reason>,
         pred: F,
         deadline: SimDuration,
     ) -> Option<Envelope>
     where
         F: Fn(&Envelope) -> bool,
     {
+        let what = what.into();
         let deadline_at = ctx.now() + deadline;
         loop {
-            let label;
+            let reason;
             {
                 let mut st = self.inner.lock();
                 if st.poisoned || st.forward_to.is_some() {
                     drop(st);
                     std::panic::resume_unwind(Box::new(RankDeadUnwind));
                 }
-                let best = st
-                    .arrived
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, e))| pred(e))
-                    .min_by_key(|(_, (at, seq, _))| (*at, *seq))
-                    .map(|(i, (at, _, _))| (i, *at));
-                if let Some((idx, at)) = best {
+                if let Some((idx, at)) = Self::best_match(&st, &pred) {
                     if at <= ctx.now() {
                         let (_, _, env) = st.arrived.remove(idx);
                         return Some(env);
@@ -345,12 +354,11 @@ impl MailStore {
                 if ctx.now() >= deadline_at {
                     return None;
                 }
-                let me = ctx.pid();
-                st.waiters.push_back(me);
-                label = st.label.clone();
+                st.waiters.push_back(ctx.pid());
+                reason = what.clone().on(&st.label);
             }
             let remaining = deadline_at - ctx.now();
-            if !ctx.block_timeout(&format!("{label}: {what}"), remaining) {
+            if !ctx.block_timeout(reason, remaining) {
                 // Deadline fired while parked: deregister and give up.
                 let me = ctx.pid();
                 self.inner.lock().waiters.retain(|&p| p != me);
@@ -361,38 +369,32 @@ impl MailStore {
 
     /// Blocking probe: like [`MailStore::recv_where`] but leaves the
     /// envelope in place and returns a clone.
-    pub fn probe_where<F>(&self, ctx: &ProcCtx, what: &str, pred: F) -> Envelope
+    pub fn probe_where<F>(&self, ctx: &ProcCtx, what: impl Into<Reason>, pred: F) -> Envelope
     where
         F: Fn(&Envelope) -> bool,
     {
+        let what = what.into();
         loop {
-            let label;
+            let reason;
             {
                 let mut st = self.inner.lock();
                 if st.poisoned || st.forward_to.is_some() {
                     drop(st);
                     std::panic::resume_unwind(Box::new(RankDeadUnwind));
                 }
-                let best = st
-                    .arrived
-                    .iter()
-                    .filter(|(_, _, e)| pred(e))
-                    .min_by_key(|(at, seq, _)| (*at, *seq))
-                    .map(|(at, _, e)| (*at, e.clone()));
-                if let Some((at, env)) = best {
+                if let Some((idx, at)) = Self::best_match(&st, &pred) {
                     if at <= ctx.now() {
-                        return env;
+                        return st.arrived[idx].2.clone();
                     }
                     let wait = at - ctx.now();
                     drop(st);
                     ctx.advance(wait);
                     continue;
                 }
-                let me = ctx.pid();
-                st.waiters.push_back(me);
-                label = st.label.clone();
+                st.waiters.push_back(ctx.pid());
+                reason = what.clone().on(&st.label);
             }
-            ctx.block(&format!("{label}: {what}"));
+            ctx.block(reason);
         }
     }
 

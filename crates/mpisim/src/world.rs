@@ -4,7 +4,10 @@
 use crate::costs::MpiCosts;
 use crate::datatype::{decode_slice, encode_slice, Datatype, MpiScalar};
 use crate::message::{Envelope, MailStore, Payload, Rank, RankDeadUnwind, SrcSel, Tag, TagSel};
-use cp_des::{IncidentCategory, ProcCtx, SimDuration, SimError, SimReport, Simulation, Spawner};
+use cp_des::{
+    IncidentCategory, Poll, ProcCtx, Reason, SimDuration, SimError, SimReport, Simulation, Spawner,
+    Step,
+};
 use cp_simnet::{Cluster, ClusterSpec, FaultPlan, LinkVerdict, NodeId, NodeKind, RetryPolicy};
 use cp_trace::Recorder;
 use std::fmt;
@@ -277,6 +280,53 @@ impl MpiWorld {
     }
 }
 
+/// A receive in progress, advanced by [`Comm::poll_recv`]. Once it yields
+/// its message it starts over: polling it again receives the next match.
+pub struct RecvOp {
+    src: SrcSel,
+    tag: TagSel,
+    state: RecvState,
+}
+
+impl RecvOp {
+    /// A receive matching the `src`/`tag` selectors, as [`Comm::recv`].
+    pub fn new(src: SrcSel, tag: TagSel) -> RecvOp {
+        RecvOp {
+            src,
+            tag,
+            state: RecvState::Header,
+        }
+    }
+}
+
+/// The header fields a received message keeps.
+#[derive(Clone, Copy)]
+struct Head {
+    src: Rank,
+    tag: Tag,
+    dtype: Datatype,
+    count: usize,
+}
+
+enum RecvState {
+    /// Waiting for the matching eager message or rendezvous header.
+    Header,
+    /// An eager message arrived; its receive cost is still to charge.
+    Eager { head: Head, data: Vec<u8> },
+    /// Answering rendezvous `id` with a clear-to-send: transmission
+    /// attempt number `attempt` of `cts` is next.
+    Grant {
+        head: Head,
+        id: u64,
+        cts: Option<Envelope>,
+        attempt: u32,
+    },
+    /// Waiting for the data of rendezvous `id`.
+    Data { head: Head, id: u64 },
+    /// Received and charged: ready on the next poll.
+    Charged(Msg),
+}
+
 /// This rank's handle on the world (`MPI_COMM_WORLD` + the owning process).
 pub struct Comm {
     inner: Arc<WorldInner>,
@@ -335,9 +385,12 @@ impl Comm {
         )
     }
 
+    fn side_cost(&self, bytes: usize, wire: bool) -> SimDuration {
+        SimDuration::from_micros_f64(self.inner.costs.side_us(self.my_kind(), bytes, wire))
+    }
+
     fn charge_side(&self, bytes: usize, wire: bool) {
-        let us = self.inner.costs.side_us(self.my_kind(), bytes, wire);
-        self.ctx.advance(SimDuration::from_micros_f64(us));
+        self.ctx.advance(self.side_cost(bytes, wire));
     }
 
     /// Count one collective participation (every rank entering a
@@ -383,60 +436,75 @@ impl Comm {
     /// exactly reproducible); injected delays add latency; duplications
     /// deliver twice. `bytes` sizes the transport cost of each attempt.
     fn put(&self, dst: Rank, env: Envelope, bytes: usize) -> Result<(), MpiFault> {
+        let mut env = Some(env);
+        let mut attempt = 0u32;
+        while let Some(backoff) = self.put_attempt(dst, &mut env, bytes, attempt)? {
+            self.ctx.advance(backoff);
+            attempt += 1;
+        }
+        Ok(())
+    }
+
+    /// Transmission attempt number `attempt` of [`Comm::put`]: `None` once
+    /// the envelope is taken and delivered, or the backoff to spend before
+    /// the next attempt after an injected drop.
+    fn put_attempt(
+        &self,
+        dst: Rank,
+        env: &mut Option<Envelope>,
+        bytes: usize,
+        attempt: u32,
+    ) -> Result<Option<SimDuration>, MpiFault> {
         let from = self.node();
         let to = self.inner.placement[dst];
-        let retry = self.inner.retry;
-        let mut attempt = 0u32;
         let recorder = self.inner.recorder();
-        loop {
-            match self.inner.faults.egress(self.ctx.now(), from, to) {
-                LinkVerdict::Deliver => {
-                    if let Some(r) = recorder {
-                        r.record_wire(bytes as u64);
-                    }
-                    let latency = self.transport(dst, bytes);
-                    self.inner.boxes[dst].deliver(&self.ctx, env, latency);
-                    return Ok(());
+        let verdict = self.inner.faults.egress(self.ctx.now(), from, to);
+        let (latency, copies) = match verdict {
+            LinkVerdict::Deliver => {
+                if let Some(r) = recorder {
+                    r.record_wire(bytes as u64);
                 }
-                LinkVerdict::Delay(extra) => {
-                    if let Some(r) = recorder {
-                        r.record_wire(bytes as u64);
-                        r.record_link_delay();
-                    }
-                    let latency = self.transport(dst, bytes) + extra;
-                    self.inner.boxes[dst].deliver(&self.ctx, env, latency);
-                    return Ok(());
-                }
-                LinkVerdict::Duplicate => {
-                    if let Some(r) = recorder {
-                        r.record_wire(2 * bytes as u64);
-                        r.record_link_duplicate();
-                    }
-                    let latency = self.transport(dst, bytes);
-                    self.inner.boxes[dst].deliver(&self.ctx, env.clone(), latency);
-                    self.inner.boxes[dst].deliver(&self.ctx, env, latency);
-                    return Ok(());
-                }
-                LinkVerdict::Drop => {
-                    if let Some(r) = recorder {
-                        // The dropped attempt still occupied the wire.
-                        r.record_wire(bytes as u64);
-                        r.record_link_drop();
-                    }
-                    if attempt >= retry.max_retries {
-                        return Err(MpiFault::SendLost {
-                            dst,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    if let Some(r) = recorder {
-                        r.record_retransmit();
-                    }
-                    self.ctx.advance(retry.backoff(attempt));
-                    attempt += 1;
-                }
+                (self.transport(dst, bytes), 1)
             }
+            LinkVerdict::Delay(extra) => {
+                if let Some(r) = recorder {
+                    r.record_wire(bytes as u64);
+                    r.record_link_delay();
+                }
+                (self.transport(dst, bytes) + extra, 1)
+            }
+            LinkVerdict::Duplicate => {
+                if let Some(r) = recorder {
+                    r.record_wire(2 * bytes as u64);
+                    r.record_link_duplicate();
+                }
+                (self.transport(dst, bytes), 2)
+            }
+            LinkVerdict::Drop => {
+                if let Some(r) = recorder {
+                    // The dropped attempt still occupied the wire.
+                    r.record_wire(bytes as u64);
+                    r.record_link_drop();
+                }
+                let retry = self.inner.retry;
+                if attempt >= retry.max_retries {
+                    return Err(MpiFault::SendLost {
+                        dst,
+                        attempts: attempt + 1,
+                    });
+                }
+                if let Some(r) = recorder {
+                    r.record_retransmit();
+                }
+                return Ok(Some(retry.backoff(attempt)));
+            }
+        };
+        let env = env.take().expect("an envelope is delivered once");
+        if copies == 2 {
+            self.inner.boxes[dst].deliver(&self.ctx, env.clone(), latency);
         }
+        self.inner.boxes[dst].deliver(&self.ctx, env, latency);
+        Ok(None)
     }
 
     /// Send pre-encoded wire bytes. Small messages go eagerly (buffered);
@@ -508,7 +576,8 @@ impl Comm {
             0,
         )?;
         let me = self.rank;
-        let cts_what = format!("MPI rendezvous CTS from rank {dst}");
+        let cts_what =
+            Reason::new("MPI rendezvous CTS from rank {}").with_args(Some(dst as i64), None);
         let cts_pred =
             |e: &Envelope| e.src == dst && matches!(e.payload, Payload::Cts { id: i } if i == id);
         if let Some(death_at) = self.inner.faults.death_of(dst) {
@@ -516,13 +585,13 @@ impl Comm {
             // death surfaces as PeerLost rather than a simulation deadlock.
             let grace = death_at.since(self.ctx.now()) + self.inner.retry.backoff_cap;
             if self.inner.boxes[me]
-                .recv_where_deadline(&self.ctx, &cts_what, cts_pred, grace)
+                .recv_where_deadline(&self.ctx, cts_what, cts_pred, grace)
                 .is_none()
             {
                 return Err(MpiFault::PeerLost { rank: dst });
             }
         } else {
-            self.inner.boxes[me].recv_where(&self.ctx, &cts_what, cts_pred);
+            self.inner.boxes[me].recv_where(&self.ctx, cts_what, cts_pred);
         }
         self.put(
             dst,
@@ -561,89 +630,137 @@ impl Comm {
     }
 
     /// Blocking receive matching `src`/`tag` selectors (`None` = wildcard;
-    /// a wildcard tag matches only user tags ≥ 0).
+    /// a wildcard tag matches only user tags ≥ 0). A thin loop over
+    /// [`Comm::poll_recv`].
     pub fn recv(&self, src: SrcSel, tag: TagSel) -> Msg {
-        let me = self.rank;
-        let env = self.inner.boxes[me].recv_where(
-            &self.ctx,
-            &format!(
-                "MPI_Recv(src={}, tag={})",
-                src.map_or("ANY".into(), |s| s.to_string()),
-                tag.map_or("ANY".into(), |t| t.to_string())
-            ),
-            |e| e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0),
-        );
-        self.finish_recv(env)
+        self.drive_recv(RecvOp::new(src, tag))
     }
 
-    /// Complete a receive whose header envelope is already in hand
-    /// (answering a rendezvous RTS if needed, and charging receive costs).
-    fn finish_recv(&self, env: Envelope) -> Msg {
-        let wire = self.is_wire(env.src);
-        match env.payload {
-            Payload::Data(data) => {
-                if let Some(r) = self.inner.recorder() {
-                    r.record_recv(data.len() as u64);
+    /// Drive `op` to its message on this rank's thread; a receive on a
+    /// poisoned or retired mailbox unwinds as dead (caught by
+    /// [`MpiWorld::launch`] or [`crate::absorb_rank_death`]).
+    fn drive_recv(&self, mut op: RecvOp) -> Msg {
+        match self.ctx.drive_poll(|| self.poll_recv(&mut op)) {
+            Some(msg) => msg,
+            None => panic::resume_unwind(Box::new(RankDeadUnwind)),
+        }
+    }
+
+    /// The non-blocking core of [`Comm::recv`]: advance `op` as far as it
+    /// can go without yielding. Returns the message once received and its
+    /// receive-side cost charged; otherwise the step to take before polling
+    /// again. A rendezvous header is answered with a clear-to-send (its
+    /// retransmission backoffs are steps too) and the data awaited. If this
+    /// rank's mailbox is poisoned or retired by [`MpiWorld::take_over_rank`]
+    /// the step is [`Step::Exit`].
+    pub fn poll_recv(&self, op: &mut RecvOp) -> Poll<Msg> {
+        let me = self.rank;
+        loop {
+            match std::mem::replace(&mut op.state, RecvState::Header) {
+                RecvState::Header => {
+                    let (src, tag) = (op.src, op.tag);
+                    let what = Reason::new("MPI_Recv(src={}, tag={})")
+                        .with_args(src.map(|s| s as i64), tag.map(i64::from));
+                    match self.inner.boxes[me].poll_recv_where(&self.ctx, &what, |e| {
+                        e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
+                    }) {
+                        Poll::Ready(env) => op.state = self.on_header(env),
+                        Poll::Pending(step) => return Poll::Pending(step),
+                    }
                 }
-                self.charge_side(data.len(), wire);
-                Msg {
-                    src: env.src,
-                    tag: env.tag,
-                    dtype: env.dtype,
-                    count: env.count,
-                    data,
-                }
-            }
-            Payload::Rts { id, bytes: _ } => {
-                // Grant the send and wait for the data. The grant passes
-                // through the fault plan like any other message; if it is
-                // unrecoverably lost the run cannot continue coherently.
-                if let Err(fault) = self.put(
-                    env.src,
-                    Envelope {
-                        src: self.rank,
-                        dst: env.src,
-                        tag: env.tag,
-                        dtype: env.dtype,
-                        count: 0,
-                        wire_seq: self.inner.mint_wire_seq(),
-                        payload: Payload::Cts { id },
-                    },
-                    0,
-                ) {
-                    self.ctx.abort(&format!(
+                RecvState::Grant {
+                    head,
+                    id,
+                    mut cts,
+                    attempt,
+                } => match self.put_attempt(head.src, &mut cts, 0, attempt) {
+                    Ok(None) => op.state = RecvState::Data { head, id },
+                    Ok(Some(backoff)) => {
+                        op.state = RecvState::Grant {
+                            head,
+                            id,
+                            cts,
+                            attempt: attempt + 1,
+                        };
+                        return Poll::Pending(Step::Advance(backoff));
+                    }
+                    // The grant passes through the fault plan like any other
+                    // message; if it is unrecoverably lost the run cannot
+                    // continue coherently.
+                    Err(fault) => self.ctx.abort(&format!(
                         "MPI rendezvous grant to rank {} failed: {fault}",
-                        env.src
-                    ));
-                }
-                let me = self.rank;
-                let data_env = self.inner.boxes[me].recv_where(
-                    &self.ctx,
-                    &format!("MPI rendezvous data from rank {}", env.src),
-                    |e| {
-                        e.src == env.src
+                        head.src
+                    )),
+                },
+                RecvState::Data { head, id } => {
+                    let what = Reason::new("MPI rendezvous data from rank {}")
+                        .with_args(Some(head.src as i64), None);
+                    match self.inner.boxes[me].poll_recv_where(&self.ctx, &what, |e| {
+                        e.src == head.src
                             && matches!(e.payload, Payload::RdvData { id: i, .. } if i == id)
-                    },
-                );
-                let Payload::RdvData { data, .. } = data_env.payload else {
-                    unreachable!("matched RdvData")
-                };
-                if let Some(r) = self.inner.recorder() {
-                    r.record_recv(data.len() as u64);
+                    }) {
+                        Poll::Ready(env) => {
+                            let Payload::RdvData { data, .. } = env.payload else {
+                                unreachable!("matched RdvData")
+                            };
+                            return self.charge_recv(op, head, data);
+                        }
+                        Poll::Pending(step) => {
+                            op.state = RecvState::Data { head, id };
+                            return Poll::Pending(step);
+                        }
+                    }
                 }
-                self.charge_side(data.len(), wire);
-                Msg {
-                    src: env.src,
+                RecvState::Eager { head, data } => return self.charge_recv(op, head, data),
+                RecvState::Charged(msg) => return Poll::Ready(msg),
+            }
+        }
+    }
+
+    /// The receive state once the header envelope `env` is in hand.
+    fn on_header(&self, env: Envelope) -> RecvState {
+        let head = Head {
+            src: env.src,
+            tag: env.tag,
+            dtype: env.dtype,
+            count: env.count,
+        };
+        match env.payload {
+            Payload::Data(data) => RecvState::Eager { head, data },
+            Payload::Rts { id, bytes: _ } => RecvState::Grant {
+                head,
+                id,
+                cts: Some(Envelope {
+                    src: self.rank,
+                    dst: env.src,
                     tag: env.tag,
                     dtype: env.dtype,
-                    count: env.count,
-                    data,
-                }
-            }
+                    count: 0,
+                    wire_seq: self.inner.mint_wire_seq(),
+                    payload: Payload::Cts { id },
+                }),
+                attempt: 0,
+            },
             Payload::Cts { .. } | Payload::RdvData { .. } => {
                 unreachable!("control payloads never match a user receive")
             }
         }
+    }
+
+    /// Record the received `data` and charge its receive-side cost.
+    fn charge_recv(&self, op: &mut RecvOp, head: Head, data: Vec<u8>) -> Poll<Msg> {
+        if let Some(r) = self.inner.recorder() {
+            r.record_recv(data.len() as u64);
+        }
+        let cost = self.side_cost(data.len(), self.is_wire(head.src));
+        op.state = RecvState::Charged(Msg {
+            src: head.src,
+            tag: head.tag,
+            dtype: head.dtype,
+            count: head.count,
+            data,
+        });
+        Poll::Pending(Step::Advance(cost))
     }
 
     /// Fault-aware receive: like [`Comm::recv`] but gives up after
@@ -665,11 +782,15 @@ impl Comm {
         );
         match self.inner.boxes[me].recv_where_deadline(
             &self.ctx,
-            &what,
+            what.clone(),
             |e| e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0),
             deadline,
         ) {
-            Some(env) => Ok(self.finish_recv(env)),
+            Some(env) => Ok(self.drive_recv(RecvOp {
+                src,
+                tag,
+                state: self.on_header(env),
+            })),
             None => {
                 if let Some(s) = src {
                     if self.peer_lost(s) {
@@ -701,7 +822,7 @@ impl Comm {
     /// Blocking probe with an arbitrary predicate over candidate messages
     /// (only eager-data / rendezvous-header envelopes are offered). Powers
     /// Pilot's `PI_Select`, which waits on *any* channel of a bundle.
-    pub fn probe_match<F>(&self, what: &str, pred: F) -> (Rank, Tag, Datatype, usize)
+    pub fn probe_match<F>(&self, what: impl Into<Reason>, pred: F) -> (Rank, Tag, Datatype, usize)
     where
         F: Fn(&Envelope) -> bool,
     {

@@ -3,9 +3,11 @@
 //! # cp-native — the CellPilot program on free-running OS threads
 //!
 //! A second implementation of the [`cp_des::Executor`] seam: where the DES
-//! kernel serializes thread-backed processes under a virtual clock, this
-//! backend lets every process thread run concurrently under the wall
-//! clock. Each rank/SPE process is a spawned thread; the relay channel
+//! kernel serializes its processes under a virtual clock, this backend lets
+//! every process thread run concurrently under the wall clock. Each
+//! rank/SPE process is a spawned thread, and so is each reactor (the
+//! Co-Pilot's watchers, pumps and timers), driven by the default
+//! [`cp_des::Executor::spawn_reactor`]; the relay channel
 //! paths become real shared-memory queues (the same mutex-protected
 //! mailboxes, now contended for real) and the one-sided put/get/fence path
 //! operates on the same mutex-protected window table — no program body,
@@ -31,8 +33,8 @@
 //! clock). The config layers guard or document each.
 
 use cp_des::{
-    Backend, Executor, Incident, IncidentCategory, Pid, ProcBody, ProcCtx, SimDuration, SimError,
-    SimReport, SimTime, Spawner,
+    Backend, Executor, Incident, IncidentCategory, Pid, ProcBody, ProcCtx, Reason, SimDuration,
+    SimError, SimReport, SimTime, Spawner,
 };
 use cp_trace::Recorder;
 use parking_lot::{Condvar, Mutex};
@@ -52,14 +54,14 @@ struct NativeUnwind;
 /// cap bounds per-call latency without changing semantics.
 const ADVANCE_CAP: Duration = Duration::from_millis(5);
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum Status {
     /// Thread is runnable (executing, sleeping in `advance`, or between
     /// kernel calls).
     Running,
     /// Parked in `block`/`block_timeout`; `timed` blocks wake themselves at
     /// the deadline and therefore never count toward deadlock.
-    Blocked { reason: String, timed: bool },
+    Blocked { reason: Reason, timed: bool },
     /// Thread has exited.
     Finished,
     /// Run is tearing down; parked threads must unwind on wake.
@@ -160,7 +162,7 @@ impl NativeKernel {
             .iter()
             .enumerate()
             .filter_map(|(pid, p)| match &p.status {
-                Status::Blocked { reason, .. } => Some((pid, p.name.clone(), reason.clone())),
+                Status::Blocked { reason, .. } => Some((pid, p.name.clone(), reason.to_string())),
                 _ => None,
             })
             .collect();
@@ -213,7 +215,7 @@ impl Executor for NativeKernel {
         }
     }
 
-    fn block(&self, pid: Pid, reason: &str) {
+    fn block(&self, pid: Pid, reason: Reason) {
         let mut st = self.state.lock();
         if st.outcome.is_some() {
             drop(st);
@@ -224,7 +226,7 @@ impl Executor for NativeKernel {
             return;
         }
         st.procs[pid].status = Status::Blocked {
-            reason: reason.to_string(),
+            reason,
             timed: false,
         };
         self.check_deadlock(&mut st);
@@ -241,7 +243,7 @@ impl Executor for NativeKernel {
         }
     }
 
-    fn block_timeout(&self, pid: Pid, reason: &str, timeout: SimDuration) -> bool {
+    fn block_timeout(&self, pid: Pid, reason: Reason, timeout: SimDuration) -> bool {
         let mut st = self.state.lock();
         if st.outcome.is_some() {
             drop(st);
@@ -252,7 +254,7 @@ impl Executor for NativeKernel {
             return true;
         }
         st.procs[pid].status = Status::Blocked {
-            reason: reason.to_string(),
+            reason,
             timed: true,
         };
         let deadline = Instant::now() + Duration::from_nanos(timeout.as_nanos());
@@ -316,12 +318,12 @@ impl Executor for NativeKernel {
         loop {
             {
                 let mut st = self.state.lock();
-                if st.procs[target].status == Status::Finished {
+                if matches!(st.procs[target].status, Status::Finished) {
                     return;
                 }
                 st.procs[target].join_waiters.push(me);
             }
-            self.block(me, &format!("join(pid={target})"));
+            self.block(me, Reason::join(target));
         }
     }
 
