@@ -47,7 +47,7 @@ mod signal;
 pub use barrier::SpeSignalBarrier;
 pub use costs::CellCosts;
 pub use localstore::{LocalStore, LsAddr, LsError};
-pub use mailbox::Mailboxes;
+pub use mailbox::{Mailboxes, MboxWrite};
 pub use memory::{
     ls_ea, resolve, Backing, Ea, MainMemory, MemError, LS_MAP_BASE, LS_MAP_STRIDE, LS_SIZE,
 };

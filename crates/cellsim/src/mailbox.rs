@@ -12,7 +12,7 @@
 
 use crate::costs::CellCosts;
 use cp_des::sync::MsgQueue;
-use cp_des::{Poll, ProcCtx, SimDuration};
+use cp_des::{Poll, ProcCtx, SimDuration, Step};
 use cp_trace::{HbOp, Recorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +71,72 @@ impl MboxQueue {
     }
 }
 
+/// Which word queue of an SPE a [`MboxWrite`] targets.
+#[derive(Clone, Copy)]
+enum Queue {
+    Inbound,
+    Outbound,
+    OutboundIntr,
+}
+
+/// How far a [`MboxWrite`] has got.
+#[derive(Clone, Copy, PartialEq)]
+enum WriteStage {
+    /// The access cost is still to charge.
+    Charge,
+    /// Charged: stage any inline payload and record the send edge.
+    Send,
+    /// Waiting for room in the queue.
+    Push,
+}
+
+/// A mailbox word write in progress, advanced by [`Mailboxes::poll_write`]:
+/// charge the writer's access, then push the word, waiting while the
+/// queue is full. The blocking writes are thin drivers over it.
+pub struct MboxWrite {
+    queue: Queue,
+    cost: SimDuration,
+    latency: SimDuration,
+    word: Option<u32>,
+    inline: Option<Vec<u8>>,
+    stage: WriteStage,
+}
+
+impl MboxWrite {
+    fn new(queue: Queue, cost_us: f64, costs: &CellCosts, word: u32) -> MboxWrite {
+        MboxWrite {
+            queue,
+            cost: SimDuration::from_micros_f64(cost_us),
+            latency: SimDuration::from_micros_f64(costs.mailbox_latency_us),
+            word: Some(word),
+            inline: None,
+            stage: WriteStage::Charge,
+        }
+    }
+
+    /// The PPE writes `word` into the SPE's inbound mailbox (see
+    /// [`Mailboxes::ppe_write_inbox`]).
+    pub fn ppe_inbox(costs: &CellCosts, word: u32) -> MboxWrite {
+        MboxWrite::new(Queue::Inbound, costs.ppe_mmio_op_us, costs, word)
+    }
+
+    /// The PPE writes `word` with `payload` riding the same burst (see
+    /// [`Mailboxes::ppe_write_inbox_inline`]).
+    pub fn ppe_inbox_inline(costs: &CellCosts, word: u32, payload: Vec<u8>) -> MboxWrite {
+        let cost = costs.ppe_mmio_op_us + costs.ls_copy_per_byte_us * payload.len() as f64;
+        MboxWrite {
+            inline: Some(payload),
+            ..MboxWrite::new(Queue::Inbound, cost, costs, word)
+        }
+    }
+
+    /// The SPU writes `word` into its outbound mailbox (see
+    /// [`Mailboxes::spu_write_outbox`]).
+    pub fn spu_outbox(costs: &CellCosts, word: u32) -> MboxWrite {
+        MboxWrite::new(Queue::Outbound, costs.spu_channel_op_us, costs, word)
+    }
+}
+
 /// The mailbox set of one SPE.
 pub struct Mailboxes {
     inbound: MboxQueue,
@@ -116,24 +182,13 @@ impl Mailboxes {
 
     /// SPU: write a word to the outbound mailbox; blocks while it is full.
     pub fn spu_write_outbox(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
-        self.outbound.note_send(&self.rec(), ctx);
-        self.outbound.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        self.write(ctx, MboxWrite::spu_outbox(costs, word));
     }
 
     /// SPU: write a word to the outbound interrupt mailbox.
     pub fn spu_write_outbox_intr(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
-        self.outbound_intr.note_send(&self.rec(), ctx);
-        self.outbound_intr.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        let op = MboxWrite::new(Queue::OutboundIntr, costs.spu_channel_op_us, costs, word);
+        self.write(ctx, op);
     }
 
     /// SPU: blocking read of the inbound mailbox.
@@ -200,13 +255,7 @@ impl Mailboxes {
     /// PPE: write a word into the SPE's 4-deep inbound mailbox; blocks while
     /// it is full (`SPE_MBOX_ALL_BLOCKING` behaviour).
     pub fn ppe_write_inbox(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.advance(SimDuration::from_micros_f64(costs.ppe_mmio_op_us));
-        self.inbound.note_send(&self.rec(), ctx);
-        self.inbound.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        self.write(ctx, MboxWrite::ppe_inbox(costs, word));
     }
 
     /// PPE: non-blocking status of the outbound mailbox (word available?).
@@ -227,18 +276,38 @@ impl Mailboxes {
         word: u32,
         payload: Vec<u8>,
     ) {
-        ctx.advance(SimDuration::from_micros_f64(
-            costs.ppe_mmio_op_us + costs.ls_copy_per_byte_us * payload.len() as f64,
-        ));
-        // Stage the payload before the word: by the time the SPU pops the
-        // word, its payload is guaranteed present.
-        self.inline.lock().push_back(payload);
-        self.inbound.note_send(&self.rec(), ctx);
-        self.inbound.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        self.write(ctx, MboxWrite::ppe_inbox_inline(costs, word, payload));
+    }
+
+    /// Carry `op` through on the calling process's thread.
+    fn write(&self, ctx: &ProcCtx, mut op: MboxWrite) {
+        ctx.drive_poll(|| self.poll_write(ctx, &mut op))
+            .expect("a mailbox write never exits");
+    }
+
+    /// The non-blocking core of the mailbox writes: `Ready` once `op`'s
+    /// word is in its queue, else the step to take before polling again
+    /// (the access charge first, then a block while the queue is full).
+    pub fn poll_write(&self, ctx: &ProcCtx, op: &mut MboxWrite) -> Poll<()> {
+        let q = match op.queue {
+            Queue::Inbound => &self.inbound,
+            Queue::Outbound => &self.outbound,
+            Queue::OutboundIntr => &self.outbound_intr,
+        };
+        if op.stage == WriteStage::Charge {
+            op.stage = WriteStage::Send;
+            return Poll::Pending(Step::Advance(op.cost));
+        }
+        if op.stage == WriteStage::Send {
+            op.stage = WriteStage::Push;
+            // Stage an inline payload before its word: by the time the SPU
+            // pops the word, its payload is guaranteed present.
+            if let Some(payload) = op.inline.take() {
+                self.inline.lock().push_back(payload);
+            }
+            q.note_send(&self.rec(), ctx);
+        }
+        q.q.poll_push(ctx, &mut op.word, op.latency)
     }
 
     /// SPU: take the oldest inline payload. Call exactly once per inbound

@@ -208,6 +208,21 @@ impl CellNode {
     /// A PPE `memcpy` between two effective addresses, charging the
     /// calibrated cost for uncached local-store mappings.
     pub fn ppe_memcpy(&self, ctx: &ProcCtx, dst: Ea, src: Ea, len: usize) -> Result<(), MemError> {
+        let cost = self.ppe_copy(ctx, dst, src, len)?;
+        ctx.advance(cost);
+        Ok(())
+    }
+
+    /// The copy of [`CellNode::ppe_memcpy`] without its charge: move the
+    /// bytes now and return the virtual time the PPE owes for them, for a
+    /// caller that cannot block (a reactor yields it as a step).
+    pub fn ppe_copy(
+        &self,
+        ctx: &ProcCtx,
+        dst: Ea,
+        src: Ea,
+        len: usize,
+    ) -> Result<SimDuration, MemError> {
         let data = self.ea_read(src, len)?;
         self.ea_write(dst, &data)?;
         if let Some(r) = self.rec() {
@@ -240,8 +255,7 @@ impl CellNode {
             }
         }
         let cost = self.costs.memcpy_us(len, self.ls_sides(src, dst));
-        ctx.advance(SimDuration::from_micros_f64(cost));
-        Ok(())
+        Ok(SimDuration::from_micros_f64(cost))
     }
 
     /// An SPU program load from its own local store, recorded as a

@@ -1038,13 +1038,21 @@ impl CellPilotConfig {
         }
         // Co-Pilots.
         for (node, rank) in copilot_ranks {
-            let body = copilot::copilot_body(world.clone(), shared.clone(), node, rank);
-            world.launch(&mut sim, rank, &format!("copilot{}", node.0), body);
+            let (w, s) = (world.clone(), shared.clone());
+            world.launch_task(
+                &mut sim,
+                rank,
+                &format!("copilot{}", node.0),
+                move |comm, t| copilot::primary(w, s, node, comm, t),
+            );
         }
         // Standby Co-Pilots (only for nodes with a scripted primary kill).
         for (node, rank) in standby_ranks {
-            let body = copilot::standby_body(world.clone(), shared.clone(), node, rank);
-            world.launch(&mut sim, rank, &format!("copilot{}-standby", node.0), body);
+            let (w, s) = (world.clone(), shared.clone());
+            let name = format!("copilot{}-standby", node.0);
+            world.launch_task(&mut sim, rank, &name, move |comm, t| {
+                copilot::standby(w, s, node, comm, t)
+            });
         }
         // Deadlock-detection service.
         if let Some(det_rank) = tables.detector_rank {

@@ -25,10 +25,13 @@
 //! **mailbox watcher** per SPE (modelling the real Co-Pilot's polling of
 //! the SPEs' outbound mailboxes), one **MPI pump** (its blocking
 //! `MPI_Recv(ANY_SOURCE)`), and the **service loop** consuming both event
-//! streams in arrival order. The watchers, the pump and the failover timers
-//! are reactive loops, so they are written as [`Reactor`]s: the DES kernel
-//! steps them inline with no thread of their own, and `cp-native` drives
-//! the same code on threads. The service loop keeps its thread.
+//! streams in arrival order. All of them, and the standby's watchdog and
+//! failover timers, are [`Reactor`]s: the DES kernel steps them inline with
+//! no thread of their own, and `cp-native` drives the same code on threads.
+//! The watchers, the pump and the timers are small state machines. The
+//! service loop and the standby are straight-line `async` bodies run by
+//! [`cp_des::task`]: every `.await` is one yield (a charge, a mailbox write,
+//! an MPI send step), and the loop owns the proxy tables between them.
 
 use crate::location::Location;
 use crate::protocol::{
@@ -37,111 +40,113 @@ use crate::protocol::{
     OP_POLL, OP_READ, OP_WRITE, OP_WRITE_INLINE, POISON_WORD, REQ_BLOCK_BYTES,
 };
 use crate::runtime::AppShared;
-use crate::tables::{CoEvent, NodeShared, PendingReq};
-use cp_cellsim::{ls_ea, CellNode};
-use cp_des::{IncidentCategory, Poll, ProcCtx, Reactor, SimDuration, Step};
-use cp_mpisim::{Comm, Datatype, MpiWorld, Msg, RecvOp};
+use crate::tables::{CoEvent, CoState, NodeShared, PendingReq};
+use crate::trace::TraceOp;
+use cp_cellsim::{ls_ea, CellNode, MboxWrite};
+use cp_des::{IncidentCategory, Poll, ProcCtx, Reactor, SimDuration, Step, TaskCtx};
+use cp_mpisim::{Comm, Datatype, MpiWorld, Msg, RecvOp, SendOp};
 use cp_simnet::{NodeId, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Build the co-pilot process body for `world.launch`.
-pub(crate) fn copilot_body(
+/// The primary Co-Pilot of `node`, run as rank `rank` by
+/// [`MpiWorld::launch_task`]: spawn the node's mailbox watchers, MPI pump
+/// and (under a scripted kill) the failover timers, then serve.
+pub(crate) async fn primary(
     world: MpiWorld,
     shared: Arc<AppShared>,
     node: NodeId,
-    rank: usize,
-) -> impl FnOnce(Comm) + Send + 'static {
-    move |comm: Comm| {
-        let ns = shared.node_shared[&node].clone();
-        let ctx = comm.ctx().clone();
-        for hw in 0..ns.cell.spe_count() {
-            ctx.spawn_reactor(
-                &format!("copilot{}-watch-spe{hw}", ns.cell.id),
-                Watcher {
-                    ns: ns.clone(),
-                    hw,
-                    state: Watch::Read,
-                },
-            );
-        }
-        spawn_pump(&ctx, &world, rank, ns.clone());
-        if let Some(kill_at) = shared.faults.copilot_kill_of(node) {
-            // The node-local liveness signal: beat every period until the
-            // scripted death silences it (or a clean shutdown stops the
-            // pair). The watchdog in `standby_body` polls the same cell.
-            let hb = ns.hb.clone();
-            ctx.spawn_reactor(
-                &format!("copilot{}-heartbeat", node.0),
-                move |bctx: &ProcCtx| {
-                    if hb.is_stopped() || bctx.now() >= kill_at {
-                        return Step::Exit;
-                    }
-                    hb.beat(bctx.now());
-                    Step::Advance(HEARTBEAT_PERIOD)
-                },
-            );
-            // Deliver the death at exactly the scripted instant as a queue
-            // event, so the primary retires at the kill time (events queued
-            // later stay behind the marker for the standby to service).
-            let ns = ns.clone();
-            let mut armed = false;
-            ctx.spawn_reactor(&format!("copilot{}-kill", node.0), move |kctx: &ProcCtx| {
-                if !std::mem::replace(&mut armed, true) {
-                    return Step::Advance(SimDuration::from_nanos(kill_at.as_nanos()));
-                }
-                ns.note_queue_push(kctx);
-                ns.queue.push(kctx, CoEvent::Die, SimDuration::ZERO);
-                Step::Exit
-            });
-        }
-        service_loop(&comm, &shared, &ns, false);
+    comm: Comm,
+    t: TaskCtx,
+) {
+    let ns = shared.node_shared[&node].clone();
+    let ctx = t.ctx();
+    for hw in 0..ns.cell.spe_count() {
+        ctx.spawn_reactor(
+            &format!("copilot{}-watch-spe{hw}", ns.cell.id),
+            Watcher {
+                ns: ns.clone(),
+                hw,
+                state: Watch::Read,
+            },
+        );
     }
+    spawn_pump(ctx, &world, comm.rank(), ns.clone());
+    if let Some(kill_at) = shared.faults.copilot_kill_of(node) {
+        // The node-local liveness signal: beat every period until the
+        // scripted death silences it (or a clean shutdown stops the
+        // pair). The watchdog in `standby` polls the same cell.
+        let hb = ns.hb.clone();
+        ctx.spawn_reactor(
+            &format!("copilot{}-heartbeat", node.0),
+            move |bctx: &ProcCtx| {
+                if hb.is_stopped() || bctx.now() >= kill_at {
+                    return Step::Exit;
+                }
+                hb.beat(bctx.now());
+                Step::Advance(HEARTBEAT_PERIOD)
+            },
+        );
+        // Deliver the death at exactly the scripted instant as a queue
+        // event, so the primary retires at the kill time (events queued
+        // later stay behind the marker for the standby to service).
+        let ns = ns.clone();
+        let mut armed = false;
+        ctx.spawn_reactor(&format!("copilot{}-kill", node.0), move |kctx: &ProcCtx| {
+            if !std::mem::replace(&mut armed, true) {
+                return Step::Advance(SimDuration::from_nanos(kill_at.as_nanos()));
+            }
+            ns.note_queue_push(kctx);
+            ns.queue.push(kctx, CoEvent::Die, SimDuration::ZERO);
+            Step::Exit
+        });
+    }
+    Service::adopt(t, comm, shared, ns, false).run().await;
 }
 
-/// Build the standby co-pilot body for a node whose primary has a
-/// scripted kill: watch the heartbeat, and on expiry adopt the node —
-/// reroute the Co-Pilot rank, take over the dead primary's mailbox, and
-/// resume servicing the shared proxy tables and event queue. Type-4/5
-/// traffic continues with no application-visible loss.
-pub(crate) fn standby_body(
+/// The standby Co-Pilot of a node whose primary has a scripted kill: watch
+/// the heartbeat, and on expiry adopt the node — reroute the Co-Pilot
+/// rank, take over the dead primary's mailbox, and resume servicing the
+/// proxy tables and event queue the primary handed back. Type-4/5 traffic
+/// continues with no application-visible loss.
+pub(crate) async fn standby(
     world: MpiWorld,
     shared: Arc<AppShared>,
     node: NodeId,
-    rank: usize,
-) -> impl FnOnce(Comm) + Send + 'static {
-    move |comm: Comm| {
-        let ns = shared.node_shared[&node].clone();
-        let ctx = comm.ctx().clone();
-        let hb = ns.hb.clone();
-        loop {
-            if hb.is_stopped() {
-                // Clean shutdown before the kill fired: no failover needed.
-                return;
-            }
-            if hb.expired(ctx.now(), WATCHDOG_TIMEOUT) {
-                break;
-            }
-            ctx.advance(HEARTBEAT_PERIOD);
+    comm: Comm,
+    t: TaskCtx,
+) {
+    let ns = shared.node_shared[&node].clone();
+    let hb = ns.hb.clone();
+    loop {
+        if hb.is_stopped() {
+            // Clean shutdown before the kill fired: no failover needed.
+            return;
         }
-        ctx.report_incident(
-            IncidentCategory::CopilotFailover,
-            &format!(
-                "standby Co-Pilot (rank {rank}) adopting node {}: primary silent since {}",
-                node.0,
-                hb.last_beat()
-            ),
-        );
-        let primary = shared.tables.copilot_ranks[&node];
-        shared.copilot_route.lock().insert(node, rank);
-        // Window ownership migrates with the node: one-sided writers that
-        // consult the table from here on see the standby as the servicing
-        // rank, and landed-but-undelivered puts stay queued for it.
-        shared.fabric.take_over_node(node.0, rank);
-        world.take_over_rank(&ctx, primary, rank);
-        spawn_pump(&ctx, &world, rank, ns.clone());
-        service_loop(&comm, &shared, &ns, true);
+        if hb.expired(t.ctx().now(), WATCHDOG_TIMEOUT) {
+            break;
+        }
+        t.advance(HEARTBEAT_PERIOD).await;
     }
+    let ctx = t.ctx();
+    let rank = comm.rank();
+    ctx.report_incident(
+        IncidentCategory::CopilotFailover,
+        &format!(
+            "standby Co-Pilot (rank {rank}) adopting node {}: primary silent since {}",
+            node.0,
+            hb.last_beat()
+        ),
+    );
+    let primary = shared.tables.copilot_ranks[&node];
+    shared.copilot_route.lock().insert(node, rank);
+    // Window ownership migrates with the node: one-sided writers that
+    // consult the table from here on see the standby as the servicing
+    // rank, and landed-but-undelivered puts stay queued for it.
+    shared.fabric.take_over_node(node.0, rank);
+    world.take_over_rank(ctx, primary, rank);
+    spawn_pump(ctx, &world, rank, ns.clone());
+    Service::adopt(t, comm, shared, ns, true).run().await;
 }
 
 /// Spawn the Co-Pilot's MPI pump (its blocking `MPI_Recv(ANY_SOURCE)`),
@@ -272,162 +277,236 @@ impl Reactor for Watcher {
     }
 }
 
-/// Abort the run on a wire envelope that does not decode, naming the node
-/// and the envelope instead of panicking the Co-Pilot.
-fn malformed(ctx: &ProcCtx, node: usize, msg: &Msg, err: MalformedEnvelope) -> ! {
-    ctx.abort(&format!(
-        "Co-Pilot on node {node}: {err} (tag {} from rank {}, {} bytes)",
-        msg.tag,
-        msg.src,
-        msg.data.len()
-    ))
+/// One incarnation of a node's Co-Pilot service loop (the primary's, or
+/// the standby's after a failover). It owns the node's proxy tables while
+/// it runs and consumes the event queue in arrival order.
+struct Service {
+    t: TaskCtx,
+    comm: Comm,
+    shared: Arc<AppShared>,
+    ns: Arc<NodeShared>,
+    st: CoState,
+    standby: bool,
 }
 
-/// Record a Co-Pilot event in the trace log, naming the lane only when
-/// the log is on.
-fn trace_copilot(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell_id: usize,
-    op: crate::trace::TraceOp,
-    chan: usize,
-    bytes: usize,
-) {
-    if shared.trace.is_enabled() {
-        shared
-            .trace
-            .record(ctx.now(), &format!("copilot{cell_id}"), op, chan, bytes);
+impl Service {
+    /// Take the node's proxy tables over: fresh at start, or as a retired
+    /// primary handed them back. A standby whose watchdog fires while the
+    /// primary is still busy past its kill time (say, inside a scripted
+    /// stall longer than the watchdog timeout) finds them still held:
+    /// two service loops cannot share them, so the run aborts.
+    fn adopt(
+        t: TaskCtx,
+        comm: Comm,
+        shared: Arc<AppShared>,
+        ns: Arc<NodeShared>,
+        standby: bool,
+    ) -> Service {
+        let st = ns.co_state.lock().take();
+        let Some(st) = st else {
+            t.ctx().abort(&format!(
+                "standby Co-Pilot on node {}: the primary still holds the proxy \
+                 tables when the watchdog fires (its handling outlasted the watchdog \
+                 timeout)",
+                ns.cell.id
+            ))
+        };
+        Service {
+            t,
+            comm,
+            shared,
+            ns,
+            st,
+            standby,
+        }
     }
-}
 
-fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, standby: bool) {
-    let ctx = comm.ctx();
-    let costs = &shared.costs;
-    let cell = &ns.cell;
-    let queue = &ns.queue;
-    // A scripted Co-Pilot stall freezes the service loop once, at the first
-    // event serviced at or after its scheduled time: requests and MPI
-    // deliveries keep queueing, but nothing is serviced for the duration.
-    let stall = shared.faults.stall_of(NodeId(cell.id));
-    loop {
-        let event = queue.pop(ctx);
-        ns.note_queue_pop(ctx);
-        // Only this service loop touches the proxy tables while it runs —
-        // a standby starts only after the primary retired — so holding the
-        // guard across an event's (possibly blocking) handling is safe.
-        let st = &mut *ns.co_state.lock();
-        if let Some(s) = stall {
-            if !st.stall_done && ctx.now() >= s.at {
-                st.stall_done = true;
-                ctx.report_incident(
-                    IncidentCategory::CopilotStall,
-                    &format!(
-                        "Co-Pilot on node {} unresponsive for {} (scheduled at {})",
-                        cell.id, s.duration, s.at
-                    ),
-                );
-                ctx.advance(s.duration);
+    fn ctx(&self) -> &ProcCtx {
+        self.t.ctx()
+    }
+
+    fn cell(&self) -> &Arc<CellNode> {
+        &self.ns.cell
+    }
+
+    async fn run(mut self) {
+        // A scripted Co-Pilot stall freezes the service loop once, at the
+        // first event serviced at or after its scheduled time: requests and
+        // MPI deliveries keep queueing, but nothing is serviced for the
+        // duration.
+        let stall = self.shared.faults.stall_of(NodeId(self.cell().id));
+        loop {
+            let event = self.t.poll(|| self.ns.queue.poll_pop(self.ctx())).await;
+            self.ns.note_queue_pop(self.ctx());
+            if let Some(s) = stall {
+                if !self.st.stall_done && self.ctx().now() >= s.at {
+                    self.st.stall_done = true;
+                    self.ctx().report_incident(
+                        IncidentCategory::CopilotStall,
+                        &format!(
+                            "Co-Pilot on node {} unresponsive for {} (scheduled at {})",
+                            self.cell().id,
+                            s.duration,
+                            s.at
+                        ),
+                    );
+                    self.t.advance(s.duration).await;
+                }
+            }
+            match event {
+                CoEvent::Die => {
+                    // A Die marker reaching the standby is stale — the
+                    // primary it was aimed at is already gone; the standby
+                    // serves on.
+                    if self.standby {
+                        continue;
+                    }
+                    self.ctx().report_incident(
+                        IncidentCategory::CopilotDeath,
+                        &format!(
+                            "Co-Pilot on node {} killed by fault plan at {}",
+                            self.cell().id,
+                            self.ctx().now()
+                        ),
+                    );
+                    *self.ns.co_state.lock() = Some(self.st);
+                    return;
+                }
+                CoEvent::Shutdown => return self.shutdown().await,
+                CoEvent::Mpi(msg) => self.on_mpi(msg).await,
+                CoEvent::Request { hw, req, inline } => {
+                    let chan = self.checked_chan(i64::from(req.chan), || {
+                        format!("a request block from SPE {hw}")
+                    });
+                    self.on_request(hw, req, chan, inline).await;
+                }
             }
         }
-        match event {
-            CoEvent::Die => {
-                // A Die marker reaching the standby is stale — the primary
-                // it was aimed at is already gone; the standby serves on.
-                if standby {
-                    continue;
-                }
-                ctx.report_incident(
-                    IncidentCategory::CopilotDeath,
-                    &format!(
-                        "Co-Pilot on node {} killed by fault plan at {}",
-                        cell.id,
-                        ctx.now()
-                    ),
-                );
-                return;
-            }
-            CoEvent::Shutdown => {
-                // Unblock the mailbox watchers so their processes exit, and
-                // retire the heartbeat pair so a standby stands down.
-                for spe in &cell.spes {
-                    spe.mbox.spu_write_outbox(ctx, &cell.costs, POISON_WORD);
-                }
-                ns.hb.stop();
-                // The shutdown *wire message* may have been consumed by a
-                // previous incarnation's pump (the primary pumps it, dies
-                // to the kill marker, and the standby services the queued
-                // event) — leaving this incarnation's own pump parked in
-                // recv forever. Echo the shutdown to our own rank so
-                // whichever pump still listens drains and exits; if none
-                // does, the envelope sits unread and the run ends anyway.
-                comm.send_bytes(comm.rank(), CP_SHUTDOWN_TAG, Datatype::Byte, 0, Vec::new());
-                return;
-            }
-            CoEvent::Mpi(msg) if msg.tag == CP_MCAST_TAG => {
-                // Hierarchical broadcast: one wire message, local fan-out.
+    }
+
+    /// Unblock the mailbox watchers so their processes exit, and retire
+    /// the heartbeat pair so a standby stands down.
+    async fn shutdown(&self) {
+        let cell = self.cell();
+        for spe in &cell.spes {
+            let mut op = MboxWrite::spu_outbox(&cell.costs, POISON_WORD);
+            self.t
+                .poll(|| spe.mbox.poll_write(self.ctx(), &mut op))
+                .await;
+        }
+        self.ns.hb.stop();
+        // The shutdown *wire message* may have been consumed by a previous
+        // incarnation's pump (the primary pumps it, dies to the kill
+        // marker, and the standby services the queued event) — leaving
+        // this incarnation's own pump parked in recv forever. Echo the
+        // shutdown to our own rank so whichever pump still listens drains
+        // and exits; if none does, the envelope sits unread and the run
+        // ends anyway.
+        self.send(self.comm.rank(), CP_SHUTDOWN_TAG, Vec::new())
+            .await;
+    }
+
+    /// The channel a request or wire message names, checked against the
+    /// tables: an index out of range aborts the run naming the node, the
+    /// source and the channel, instead of panicking the Co-Pilot or
+    /// parking the data forever.
+    fn checked_chan(&self, chan: i64, source: impl FnOnce() -> String) -> usize {
+        let n = self.shared.tables.channels.len();
+        match usize::try_from(chan) {
+            Ok(c) if c < n => c,
+            _ => self.ctx().abort(&format!(
+                "Co-Pilot on node {}: invalid channel {chan} in {} ({n} channels exist)",
+                self.cell().id,
+                source()
+            )),
+        }
+    }
+
+    /// Abort the run on a wire envelope that does not decode, naming the
+    /// node and the envelope instead of panicking the Co-Pilot.
+    fn malformed(&self, msg: &Msg, err: MalformedEnvelope) -> ! {
+        self.ctx().abort(&format!(
+            "Co-Pilot on node {}: {err} (tag {} from rank {}, {} bytes)",
+            self.cell().id,
+            msg.tag,
+            msg.src,
+            msg.data.len()
+        ))
+    }
+
+    /// Channel data from a rank or a remote Co-Pilot: one message, a
+    /// multicast envelope or a coalesced bundle. Every entry is checked
+    /// before any is delivered or parked.
+    async fn on_mpi(&mut self, msg: Msg) {
+        let src = msg.src;
+        match msg.tag {
+            // Hierarchical broadcast: one wire message, local fan-out.
+            CP_MCAST_TAG => {
                 let (chans, data) =
-                    decode_mcast(&msg.data).unwrap_or_else(|e| malformed(ctx, cell.id, &msg, e));
+                    decode_mcast(&msg.data).unwrap_or_else(|e| self.malformed(&msg, e));
+                let chans: Vec<usize> = chans
+                    .into_iter()
+                    .map(|c| {
+                        self.checked_chan(i64::from(c), || {
+                            format!("a multicast entry from rank {src}")
+                        })
+                    })
+                    .collect();
                 for chan in chans {
-                    let chan = chan as usize;
-                    if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                        deliver(ctx, shared, cell, chan, &data, rr);
-                    } else {
-                        let mut m = msg.clone();
-                        m.tag = chan as i32;
-                        m.data = data.clone();
-                        st.pending_mpi.entry(chan).or_default().push_back(m);
-                    }
+                    self.deliver_or_park(chan, src, data.clone()).await;
                 }
             }
-            CoEvent::Mpi(msg) if msg.tag == CP_BUNDLE_TAG => {
-                // Coalesced bundle envelope: one wire message carrying
-                // several small writes, each with its own payload. Unpack
-                // and deliver-or-park per entry, exactly as if each had
-                // arrived as its own message.
-                let entries =
-                    decode_bundle(&msg.data).unwrap_or_else(|e| malformed(ctx, cell.id, &msg, e));
+            // Coalesced bundle envelope: one wire message carrying several
+            // small writes, each with its own payload, delivered or parked
+            // exactly as if each had arrived as its own message.
+            CP_BUNDLE_TAG => {
+                let entries: Vec<(usize, Vec<u8>)> = decode_bundle(&msg.data)
+                    .unwrap_or_else(|e| self.malformed(&msg, e))
+                    .into_iter()
+                    .map(|(c, data)| {
+                        let why = || format!("a bundle entry from rank {src}");
+                        (self.checked_chan(i64::from(c), why), data)
+                    })
+                    .collect();
                 for (chan, data) in entries {
-                    let chan = chan as usize;
-                    if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                        deliver(ctx, shared, cell, chan, &data, rr);
-                    } else {
-                        let count = data.len();
-                        st.pending_mpi.entry(chan).or_default().push_back(Msg {
-                            src: msg.src,
-                            tag: chan as i32,
-                            dtype: Datatype::Byte,
-                            count,
-                            data,
-                        });
-                    }
+                    self.deliver_or_park(chan, src, data).await;
                 }
             }
-            CoEvent::Mpi(msg) => {
-                let chan = msg.tag as usize;
-                if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                    deliver(ctx, shared, cell, chan, &msg.data, rr);
-                } else {
-                    st.pending_mpi.entry(chan).or_default().push_back(msg);
-                }
+            tag => {
+                let chan =
+                    self.checked_chan(i64::from(tag), || format!("a message from rank {src}"));
+                self.deliver_or_park(chan, src, msg.data).await;
             }
-            CoEvent::Request {
-                hw,
-                req,
-                inline: Some(data),
-            } if req.op == OP_WRITE_INLINE => {
+        }
+    }
+
+    /// Deliver data for `chan` to its waiting SPE reader, or park it until
+    /// the reader asks.
+    async fn deliver_or_park(&mut self, chan: usize, src: usize, data: Vec<u8>) {
+        if let Some(rr) = pop_front(&mut self.st.pending_reads, chan) {
+            return self.deliver(chan, &data, rr).await;
+        }
+        self.st.pending_mpi.entry(chan).or_default().push_back(Msg {
+            src,
+            tag: chan as i32,
+            dtype: Datatype::Byte,
+            count: data.len(),
+            data,
+        });
+    }
+
+    async fn on_request(&mut self, hw: usize, req: Request, chan: usize, inline: Option<Vec<u8>>) {
+        let costs = &self.shared.costs;
+        match (req.op, inline) {
+            (OP_WRITE_INLINE, Some(data)) => {
                 // Eager inline write: the payload arrived with the request,
                 // so the fast dispatch path applies — no buffer-address
-                // translation, no pending-transfer bookkeeping, no DMA reply
-                // setup.
-                charge(ctx, costs.copilot_eager_dispatch_us);
-                let chan = req.chan as usize;
-                crate::dlsvc::report(
-                    comm,
-                    &shared.tables,
-                    crate::dlsvc::chan_event(&shared.tables, cp_pilot::EV_WRITE, chan),
-                );
+                // translation, no pending-transfer bookkeeping, no DMA
+                // reply setup.
+                self.charge(costs.copilot_eager_dispatch_us).await;
+                self.report(cp_pilot::EV_WRITE, chan).await;
                 let n = data.len();
-                match reader_side(shared, chan, cell.id) {
+                match reader_side(&self.shared, chan, self.cell().id) {
                     ReaderSide::LocalSpe => {
                         // Buffered send: the writer completes immediately
                         // (its payload is already in Co-Pilot hands); the
@@ -435,96 +514,65 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                         // message would, preserving FIFO order against any
                         // rendezvous write the same (now unblocked) writer
                         // issues later.
-                        complete(ctx, cell, hw, completion_ok(n));
-                        trace_copilot(
-                            ctx,
-                            shared,
-                            cell.id,
-                            crate::trace::TraceOp::CopilotWrite,
-                            chan,
-                            n,
-                        );
-                        if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                            deliver(ctx, shared, cell, chan, &data, rr);
-                        } else {
-                            st.pending_mpi.entry(chan).or_default().push_back(Msg {
-                                src: comm.rank(),
-                                tag: chan as i32,
-                                dtype: Datatype::Byte,
-                                count: n,
-                                data,
-                            });
-                        }
+                        self.complete(hw, completion_ok(n)).await;
+                        self.trace(TraceOp::CopilotWrite, chan, n);
+                        self.deliver_or_park(chan, self.comm.rank(), data).await;
                     }
                     ReaderSide::Mpi(dest_rank) => {
                         // The payload is in hand: buffered send here too —
                         // the writer's completion does not wait for the MPI
                         // call made on its behalf.
-                        complete(ctx, cell, hw, completion_ok(n));
-                        comm.send_bytes(dest_rank, CpTablesTag(chan), Datatype::Byte, n, data);
-                        trace_copilot(
-                            ctx,
-                            shared,
-                            cell.id,
-                            crate::trace::TraceOp::CopilotWrite,
-                            chan,
-                            n,
-                        );
-                        record_hop(ctx, shared, cell.id, chan, "forward");
+                        self.complete(hw, completion_ok(n)).await;
+                        self.send(dest_rank, chan as i32, data).await;
+                        self.trace(TraceOp::CopilotWrite, chan, n);
+                        self.hop(chan, "forward");
                     }
                 }
             }
-            CoEvent::Request { hw, req, .. } if req.op == OP_WRITE => {
-                charge(ctx, costs.copilot_dispatch_us);
-                let chan = req.chan as usize;
+            (OP_WRITE, _) => {
+                self.charge(costs.copilot_dispatch_us).await;
                 // Proxy report on behalf of the writing SPE (which cannot
                 // reach the deadlock service itself).
-                crate::dlsvc::report(
-                    comm,
-                    &shared.tables,
-                    crate::dlsvc::chan_event(&shared.tables, cp_pilot::EV_WRITE, chan),
-                );
+                self.report(cp_pilot::EV_WRITE, chan).await;
                 let wreq = PendingReq {
                     hw,
                     addr: req.addr,
                     len: req.len,
                 };
-                match reader_side(shared, chan, cell.id) {
+                match reader_side(&self.shared, chan, self.cell().id) {
                     ReaderSide::LocalSpe => {
-                        if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                            pair_type4(ctx, shared, cell, chan, wreq, rr);
+                        if let Some(rr) = pop_front(&mut self.st.pending_reads, chan) {
+                            self.pair_type4(chan, wreq, rr).await;
                         } else {
-                            st.pending_writes.entry(chan).or_default().push_back(wreq);
+                            self.st
+                                .pending_writes
+                                .entry(chan)
+                                .or_default()
+                                .push_back(wreq);
                         }
                     }
                     ReaderSide::Mpi(dest_rank) => {
                         // Read the SPE's buffer through the mapping and make
                         // the MPI call on its behalf.
-                        charge(ctx, cell.costs.ea_translate_us);
+                        let cell = self.cell();
+                        self.charge(cell.costs.ea_translate_us).await;
                         let data = cell
                             .ea_read(ls_ea(hw, req.addr as usize), req.len as usize)
                             .expect("write buffer within local store");
-                        charge(ctx, cell.costs.memcpy_us(data.len(), 1));
+                        self.charge(cell.costs.memcpy_us(data.len(), 1)).await;
                         let n = data.len();
-                        comm.send_bytes(dest_rank, CpTablesTag(chan), Datatype::Byte, n, data);
-                        complete(ctx, cell, hw, completion_ok(n));
-                        trace_copilot(
-                            ctx,
-                            shared,
-                            cell.id,
-                            crate::trace::TraceOp::CopilotWrite,
-                            chan,
-                            n,
-                        );
-                        record_hop(ctx, shared, cell.id, chan, "forward");
+                        self.send(dest_rank, chan as i32, data).await;
+                        self.complete(hw, completion_ok(n)).await;
+                        self.trace(TraceOp::CopilotWrite, chan, n);
+                        self.hop(chan, "forward");
                     }
                 }
             }
-            CoEvent::Request { hw, req, .. } if req.op == OP_POLL => {
-                charge(ctx, costs.copilot_dispatch_us);
-                let chan = req.chan as usize;
+            (OP_POLL, _) => {
+                self.charge(costs.copilot_dispatch_us).await;
+                let st = &self.st;
                 let has_mpi = st.pending_mpi.get(&chan).is_some_and(|q| !q.is_empty());
-                let has = match writer_side(shared, chan, cell.id) {
+                let has = match writer_side(&self.shared, chan, self.cell().id) {
                     // A local SPE writer may have data parked either as a
                     // rendezvous request or as a buffered eager payload.
                     WriterSide::LocalSpe => {
@@ -532,92 +580,241 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                     }
                     WriterSide::Mpi => has_mpi,
                 };
-                complete(ctx, cell, hw, completion_ok(usize::from(has)));
+                self.complete(hw, completion_ok(usize::from(has))).await;
             }
-            CoEvent::Request { hw, req, .. } => {
-                debug_assert_eq!(req.op, OP_READ);
-                let chan = req.chan as usize;
-                // Fast dispatch applies to every read posted on an eager
-                // channel: whether the read is satisfied on the spot or
-                // parked, the Co-Pilot only files the reply-mailbox slot —
-                // no buffer-address translation and no transfer
-                // bookkeeping up front. The DMA-path costs are charged at
-                // delivery time instead (`deliver_to_spe` / `pair_type4`),
-                // and only when the payload exceeds the inline budget.
-                // Non-eager channels keep the exact schedule they had
-                // before eager inlining existed.
-                let fast = shared
-                    .tables
-                    .channels
-                    .get(chan)
-                    .is_some_and(|e| e.eager_limit() > 0);
-                charge(
-                    ctx,
-                    if fast {
-                        costs.copilot_eager_dispatch_us
-                    } else {
-                        costs.copilot_dispatch_us
-                    },
-                );
-                // Proxy report on behalf of the reading SPE. Reported on
-                // *every* read — even one satisfied from a pending queue —
-                // so write credits and read waits stay paired 1:1 in the
-                // detector; a satisfying EV_WRITE always clears the edge.
-                crate::dlsvc::report(
-                    comm,
-                    &shared.tables,
-                    crate::dlsvc::chan_event(&shared.tables, cp_pilot::EV_READWAIT, chan),
-                );
-                let rr = PendingReq {
-                    hw,
-                    addr: req.addr,
-                    len: req.len,
-                };
-                match writer_side(shared, chan, cell.id) {
-                    WriterSide::LocalSpe => {
-                        // Buffered eager payloads park in `pending_mpi` and
-                        // always predate any parked rendezvous write (the
-                        // writer blocks on a rendezvous write until it is
-                        // paired), so draining them first preserves FIFO.
-                        if let Some(msg) = pop_front_msg(&mut st.pending_mpi, chan) {
-                            deliver(ctx, shared, cell, chan, &msg.data, rr);
-                        } else if let Some(w) = pop_front(&mut st.pending_writes, chan) {
-                            pair_type4(ctx, shared, cell, chan, w, rr);
-                        } else if writer_dead(ctx, shared, cell, chan) {
-                            complete(ctx, cell, hw, completion_err(CompletionError::PeerLost));
-                        } else {
-                            st.pending_reads.entry(chan).or_default().push_back(rr);
-                        }
-                    }
-                    WriterSide::Mpi => {
-                        if let Some(msg) = pop_front_msg(&mut st.pending_mpi, chan) {
-                            deliver(ctx, shared, cell, chan, &msg.data, rr);
-                        } else if writer_dead(ctx, shared, cell, chan) {
-                            complete(ctx, cell, hw, completion_err(CompletionError::PeerLost));
-                        } else {
-                            st.pending_reads.entry(chan).or_default().push_back(rr);
-                        }
-                    }
-                }
+            (op, _) => {
+                debug_assert_eq!(op, OP_READ);
+                self.on_read(hw, req, chan).await;
             }
         }
     }
+
+    async fn on_read(&mut self, hw: usize, req: Request, chan: usize) {
+        // Fast dispatch applies to every read posted on an eager channel:
+        // whether the read is satisfied on the spot or parked, the Co-Pilot
+        // only files the reply-mailbox slot — no buffer-address translation
+        // and no transfer bookkeeping up front. The DMA-path costs are
+        // charged at delivery time instead (`deliver_dma` / `pair_type4`),
+        // and only when the payload exceeds the inline budget. Non-eager
+        // channels keep the exact schedule they had before eager inlining
+        // existed.
+        let costs = &self.shared.costs;
+        let fast = self.shared.tables.channels[chan].eager_limit() > 0;
+        self.charge(if fast {
+            costs.copilot_eager_dispatch_us
+        } else {
+            costs.copilot_dispatch_us
+        })
+        .await;
+        // Proxy report on behalf of the reading SPE. Reported on *every*
+        // read — even one satisfied from a pending queue — so write credits
+        // and read waits stay paired 1:1 in the detector; a satisfying
+        // EV_WRITE always clears the edge.
+        self.report(cp_pilot::EV_READWAIT, chan).await;
+        let rr = PendingReq {
+            hw,
+            addr: req.addr,
+            len: req.len,
+        };
+        // Buffered eager payloads park in `pending_mpi` and always predate
+        // any parked rendezvous write (the writer blocks on a rendezvous
+        // write until it is paired), so draining them first preserves FIFO.
+        if let Some(msg) = pop_front(&mut self.st.pending_mpi, chan) {
+            self.deliver(chan, &msg.data, rr).await;
+            return;
+        }
+        if let WriterSide::LocalSpe = writer_side(&self.shared, chan, self.cell().id) {
+            if let Some(w) = pop_front(&mut self.st.pending_writes, chan) {
+                self.pair_type4(chan, w, rr).await;
+                return;
+            }
+        }
+        if self.writer_dead(chan) {
+            self.complete(hw, completion_err(CompletionError::PeerLost))
+                .await;
+        } else {
+            self.st.pending_reads.entry(chan).or_default().push_back(rr);
+        }
+    }
+
+    /// Whether the channel's writer process is already gone: an SPE
+    /// permanently lost (crashed unsupervised, or supervised past its
+    /// restart budget — a supervised SPE being restarted is *not* gone),
+    /// or a rank whose scripted death has fired. Used to fail a data-less
+    /// SPE read with `PeerLost` instead of parking it forever. (A message
+    /// the writer sent before dying that is still in flight counts as "no
+    /// data yet" — fail-fast semantics.)
+    fn writer_dead(&self, chan: usize) -> bool {
+        let shared = &self.shared;
+        let from = shared.tables.channels[chan].from;
+        let now = self.ctx().now();
+        let gone = match shared.tables.processes[from.0].location {
+            Location::Rank { rank, .. } => shared.faults.death_of(rank).is_some_and(|at| now >= at),
+            Location::Spe { .. } => shared.spe_gone(from.0, now),
+        };
+        if gone {
+            self.ctx().report_incident(
+                IncidentCategory::PeerLost,
+                &format!(
+                    "Co-Pilot on node {} failing read on channel {chan}: writer '{}' is lost",
+                    self.cell().id,
+                    shared.tables.processes[from.0].name
+                ),
+            );
+        }
+        gone
+    }
+
+    /// Spend `us` of Co-Pilot time.
+    async fn charge(&self, us: f64) {
+        self.t.advance(SimDuration::from_micros_f64(us)).await;
+    }
+
+    /// Make the MPI send of `data` to `dst` on an SPE's (or the Co-Pilot's
+    /// own) behalf; an unrecoverable fault aborts the run.
+    async fn send(&self, dst: usize, tag: i32, data: Vec<u8>) {
+        let mut op = SendOp::new(dst, tag, Datatype::Byte, data.len(), data);
+        if let Err(fault) = self.t.poll(|| self.comm.poll_send(&mut op)).await {
+            self.comm.abort_send(dst, fault);
+        }
+    }
+
+    /// Proxy-report a deadlock-detector event on `chan`, if the service is
+    /// enabled.
+    async fn report(&self, kind: u8, chan: usize) {
+        let tables = &self.shared.tables;
+        if let Some(det) = tables.detector_rank {
+            let ev = crate::dlsvc::chan_event(tables, kind, chan);
+            self.send(det, cp_pilot::TAG_SVC, cp_pilot::encode_event(&ev))
+                .await;
+        }
+    }
+
+    /// Write a completion word into SPE `hw`'s inbound mailbox.
+    async fn complete(&self, hw: usize, word: u32) {
+        self.mbox_write(hw, MboxWrite::ppe_inbox(&self.cell().costs, word))
+            .await;
+    }
+
+    async fn mbox_write(&self, hw: usize, mut op: MboxWrite) {
+        let mbox = &self.cell().spes[hw].mbox;
+        self.t.poll(|| mbox.poll_write(self.ctx(), &mut op)).await;
+    }
+
+    /// Record a Co-Pilot event in the trace log, naming the lane only when
+    /// the log is on.
+    fn trace(&self, op: TraceOp, chan: usize, bytes: usize) {
+        let trace = &self.shared.trace;
+        if trace.is_enabled() {
+            let lane = format!("copilot{}", self.cell().id);
+            trace.record(self.ctx().now(), &lane, op, chan, bytes);
+        }
+    }
+
+    /// Count one Co-Pilot proxy hop on `chan` and mark it on the
+    /// Co-Pilot's Chrome-trace lane. A type-5 message records two hops —
+    /// the writer-side MPI forward plus the reader-side delivery — while a
+    /// purely local type-4 pairing records none.
+    fn hop(&self, chan: usize, what: &str) {
+        let recorder = &self.shared.recorder;
+        if !recorder.is_enabled() {
+            return;
+        }
+        let ty = self.shared.tables.channels[chan].kind.type_number();
+        recorder.record_proxy_hop(ty);
+        let lane = recorder.lane(&format!("copilot{}", self.cell().id));
+        recorder.instant(
+            lane,
+            "copilot",
+            &format!("{what} c{chan} (type {ty})"),
+            self.ctx().now().0,
+            None,
+        );
+    }
+
+    /// Deliver channel data to a waiting SPE reader, picking the eager
+    /// inline path when the channel and payload qualify. This is the
+    /// channel's final drain point (rank→SPE types 2/3, the reader-side leg
+    /// of a type 5, mcast fan-out, buffered eager writes): the message
+    /// leaves the pipeline here whether it fits the buffer or not, so its
+    /// flow-control send credit returns either way.
+    async fn deliver(&self, chan: usize, data: &[u8], rr: PendingReq) {
+        self.shared.release_credit(chan);
+        let limit = self.shared.tables.channels[chan].eager_limit();
+        if limit > 0 && data.len() <= limit {
+            self.deliver_inline(chan, data, rr).await;
+        } else {
+            self.deliver_dma(chan, data, rr).await;
+        }
+    }
+
+    /// Eager inline delivery: the payload rides the completion word itself
+    /// (a store-gather burst into the reader's inbound mailbox), skipping
+    /// the buffer-address translation and the mapped store of the DMA path.
+    async fn deliver_inline(&self, chan: usize, data: &[u8], rr: PendingReq) {
+        if data.len() > rr.len as usize {
+            return self
+                .complete(rr.hw, completion_err(CompletionError::Overflow))
+                .await;
+        }
+        let word = completion_ok_inline(data.len());
+        let op = MboxWrite::ppe_inbox_inline(&self.cell().costs, word, data.to_vec());
+        self.mbox_write(rr.hw, op).await;
+        self.trace(TraceOp::CopilotDeliver, chan, data.len());
+        self.hop(chan, "deliver");
+    }
+
+    /// Deliver MPI-borne channel data into a waiting SPE's buffer:
+    /// translate, store through the mapping, notify.
+    async fn deliver_dma(&self, chan: usize, data: &[u8], rr: PendingReq) {
+        let cell = self.cell();
+        self.charge(cell.costs.ea_translate_us).await;
+        if data.len() > rr.len as usize {
+            return self
+                .complete(rr.hw, completion_err(CompletionError::Overflow))
+                .await;
+        }
+        cell.ea_write(ls_ea(rr.hw, rr.addr as usize), data)
+            .expect("read buffer within local store");
+        self.charge(cell.costs.memcpy_us(data.len(), 1)).await;
+        self.complete(rr.hw, completion_ok(data.len())).await;
+        self.trace(TraceOp::CopilotDeliver, chan, data.len());
+        self.hop(chan, "deliver");
+    }
+
+    /// Type-4 pairing: both buffer addresses are in hand; `memcpy` between
+    /// the two mapped local stores and notify both SPEs. The pairing
+    /// charge models the paper's poll-until-second-request behaviour.
+    async fn pair_type4(&self, chan: usize, w: PendingReq, r: PendingReq) {
+        // The pairing drains the write whatever its outcome — return its
+        // flow-control send credit.
+        self.shared.release_credit(chan);
+        let cell = self.cell();
+        self.charge(self.shared.costs.copilot_pair_poll_us).await;
+        self.charge(2.0 * cell.costs.ea_translate_us).await;
+        if w.len > r.len {
+            self.complete(w.hw, completion_err(CompletionError::Overflow))
+                .await;
+            self.complete(r.hw, completion_err(CompletionError::Overflow))
+                .await;
+            return;
+        }
+        let copy = cell
+            .ppe_copy(
+                self.ctx(),
+                ls_ea(r.hw, r.addr as usize),
+                ls_ea(w.hw, w.addr as usize),
+                w.len as usize,
+            )
+            .expect("type-4 buffers within local stores");
+        self.t.advance(copy).await;
+        self.complete(w.hw, completion_ok(w.len as usize)).await;
+        self.complete(r.hw, completion_ok(w.len as usize)).await;
+        self.trace(TraceOp::CopilotPair, chan, w.len as usize);
+    }
 }
 
-#[allow(non_snake_case)]
-fn CpTablesTag(chan: usize) -> i32 {
-    chan as i32
-}
-
-fn charge(ctx: &ProcCtx, us: f64) {
-    ctx.advance(SimDuration::from_micros_f64(us));
-}
-
-fn pop_front(map: &mut HashMap<usize, VecDeque<PendingReq>>, chan: usize) -> Option<PendingReq> {
-    map.get_mut(&chan).and_then(|q| q.pop_front())
-}
-
-fn pop_front_msg(map: &mut HashMap<usize, VecDeque<Msg>>, chan: usize) -> Option<Msg> {
+fn pop_front<T>(map: &mut HashMap<usize, VecDeque<T>>, chan: usize) -> Option<T> {
     map.get_mut(&chan).and_then(|q| q.pop_front())
 }
 
@@ -650,208 +847,90 @@ fn reader_side(shared: &AppShared, chan: usize, my_node: usize) -> ReaderSide {
     }
 }
 
-/// Whether the channel's writer process is already gone: an SPE
-/// permanently lost (crashed unsupervised, or supervised past its restart
-/// budget — a supervised SPE being restarted is *not* gone), or a rank
-/// whose scripted death has fired. Used to fail a data-less SPE read with
-/// `PeerLost` instead of parking it forever. (A message the writer sent
-/// before dying that is still in flight counts as "no data yet" —
-/// fail-fast semantics.)
-fn writer_dead(ctx: &ProcCtx, shared: &AppShared, cell: &Arc<CellNode>, chan: usize) -> bool {
-    let from = shared.tables.channels[chan].from;
-    let now = ctx.now();
-    let gone = match shared.tables.processes[from.0].location {
-        Location::Rank { rank, .. } => shared.faults.death_of(rank).is_some_and(|at| now >= at),
-        Location::Spe { .. } => shared.spe_gone(from.0, now),
-    };
-    if gone {
-        ctx.report_incident(
-            IncidentCategory::PeerLost,
-            &format!(
-                "Co-Pilot on node {} failing read on channel {chan}: writer '{}' is lost",
-                cell.id, shared.tables.processes[from.0].name
-            ),
-        );
-    }
-    gone
-}
-
 fn writer_side(shared: &AppShared, chan: usize, my_node: usize) -> WriterSide {
     let entry = &shared.tables.channels[chan];
     match shared.tables.processes[entry.from.0].location {
-        Location::Rank { .. } => WriterSide::Mpi,
-        Location::Spe { node, .. } => {
-            if node.0 == my_node {
-                WriterSide::LocalSpe
-            } else {
-                WriterSide::Mpi
+        Location::Spe { node, .. } if node.0 == my_node => WriterSide::LocalSpe,
+        _ => WriterSide::Mpi,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::protocol::{encode_bundle, encode_mcast, Request, OP_READ};
+    use crate::{CellPilotConfig, CellPilotOpts, SpeProgram, CP_MAIN};
+    use cp_des::SimError;
+    use cp_mpisim::Datatype;
+    use cp_simnet::{ClusterSpec, NodeId};
+
+    /// A configuration with one SPE on node 0 and its two channels.
+    fn two_channel_cfg(prog: &SpeProgram) -> CellPilotConfig {
+        let spec = ClusterSpec::two_cells_one_xeon();
+        let mut cfg = CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::new());
+        let s = cfg.create_spe_process(prog, CP_MAIN, 0).unwrap();
+        cfg.channel(CP_MAIN, s).build().unwrap();
+        cfg.channel(s, CP_MAIN).build().unwrap();
+        cfg
+    }
+
+    fn aborted(result: Result<cp_des::SimReport, SimError>) -> String {
+        match result {
+            Err(SimError::Aborted { name, message, .. }) => {
+                assert_eq!(name, "copilot0", "{message}");
+                message
             }
+            other => panic!("expected the Co-Pilot to abort, got {other:?}"),
         }
     }
-}
 
-/// Whether `data` qualifies for eager inline delivery on `chan`: the
-/// channel opted into eager inlining and the payload fits what one
-/// mailbox/control-word exchange can carry.
-fn eager_small(shared: &AppShared, chan: usize, data: &[u8]) -> bool {
-    shared
-        .tables
-        .channels
-        .get(chan)
-        .is_some_and(|e| e.eager_limit() > 0 && data.len() <= e.eager_limit())
-}
-
-/// Deliver channel data to a waiting SPE reader, picking the eager inline
-/// path when the channel and payload qualify.
-fn deliver(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    chan: usize,
-    data: &[u8],
-    rr: PendingReq,
-) {
-    if eager_small(shared, chan, data) {
-        deliver_to_spe_eager(ctx, shared, cell, chan, data, rr);
-    } else {
-        deliver_to_spe(ctx, shared, cell, chan, data, rr);
+    #[test]
+    fn request_block_naming_a_missing_channel_aborts_with_its_source() {
+        let prog = SpeProgram::new("rogue", 2048, |spe, _, _| {
+            let _ = spe.transact(Request {
+                op: OP_READ,
+                chan: 99,
+                addr: 0,
+                len: 4,
+            });
+            unreachable!("the run aborts first");
+        });
+        let cfg = two_channel_cfg(&prog);
+        let message = aborted(cfg.run(|cp| cp.run_and_wait_my_spes()));
+        assert_eq!(
+            message,
+            "Co-Pilot on node 0: invalid channel 99 in a request block from SPE 0 \
+             (2 channels exist)"
+        );
     }
-}
 
-/// Eager inline delivery: the payload rides the completion word itself (a
-/// store-gather burst into the reader's inbound mailbox), skipping the
-/// buffer-address translation and the mapped store of the DMA path.
-fn deliver_to_spe_eager(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    chan: usize,
-    data: &[u8],
-    rr: PendingReq,
-) {
-    // Final drain point, same contract as `deliver_to_spe`: the credit
-    // returns whether or not the payload fits the posted buffer.
-    shared.release_credit(chan);
-    if data.len() > rr.len as usize {
-        complete(ctx, cell, rr.hw, completion_err(CompletionError::Overflow));
-        return;
+    #[test]
+    fn wire_message_naming_a_missing_channel_aborts_with_its_source() {
+        let idle = SpeProgram::new("idle", 2048, |_, _, _| {});
+        let cases: [(i32, Vec<u8>, &str); 3] = [
+            (7, vec![1], "invalid channel 7 in a message from rank 0"),
+            (
+                crate::protocol::CP_BUNDLE_TAG,
+                encode_bundle(&[(1, vec![1]), (40, vec![2])]),
+                "invalid channel 40 in a bundle entry from rank 0",
+            ),
+            (
+                crate::protocol::CP_MCAST_TAG,
+                encode_mcast(&[0, 1_000_000], &[3]),
+                "invalid channel 1000000 in a multicast entry from rank 0",
+            ),
+        ];
+        for (tag, data, want) in cases {
+            let cfg = two_channel_cfg(&idle);
+            let message = aborted(cfg.run(move |cp| {
+                let copilot = cp.shared.copilot_rank(NodeId(0));
+                let n = data.len();
+                cp.comm.send_bytes(copilot, tag, Datatype::Byte, n, data);
+            }));
+            assert_eq!(
+                message,
+                format!("Co-Pilot on node 0: {want} (2 channels exist)"),
+                "tag {tag}"
+            );
+        }
     }
-    cell.spes[rr.hw].mbox.ppe_write_inbox_inline(
-        ctx,
-        &cell.costs,
-        completion_ok_inline(data.len()),
-        data.to_vec(),
-    );
-    trace_copilot(
-        ctx,
-        shared,
-        cell.id,
-        crate::trace::TraceOp::CopilotDeliver,
-        chan,
-        data.len(),
-    );
-    record_hop(ctx, shared, cell.id, chan, "deliver");
-}
-
-/// Deliver MPI-borne channel data into a waiting SPE's buffer: translate,
-/// store through the mapping, notify.
-fn deliver_to_spe(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    _chan: usize,
-    data: &[u8],
-    rr: PendingReq,
-) {
-    let _ = shared;
-    // This is the channel's final drain point (rank→SPE types 2/3, the
-    // reader-side leg of a type 5, mcast fan-out): the message leaves the
-    // pipeline here whether it fits the buffer or not, so its flow-control
-    // send credit returns either way.
-    shared.release_credit(_chan);
-    charge(ctx, cell.costs.ea_translate_us);
-    if data.len() > rr.len as usize {
-        complete(ctx, cell, rr.hw, completion_err(CompletionError::Overflow));
-        return;
-    }
-    cell.ea_write(ls_ea(rr.hw, rr.addr as usize), data)
-        .expect("read buffer within local store");
-    charge(ctx, cell.costs.memcpy_us(data.len(), 1));
-    complete(ctx, cell, rr.hw, completion_ok(data.len()));
-    trace_copilot(
-        ctx,
-        shared,
-        cell.id,
-        crate::trace::TraceOp::CopilotDeliver,
-        _chan,
-        data.len(),
-    );
-    record_hop(ctx, shared, cell.id, _chan, "deliver");
-}
-
-/// Count one Co-Pilot proxy hop on `chan` and mark it on the Co-Pilot's
-/// Chrome-trace lane. A type-5 message records two hops — the writer-side
-/// MPI forward plus the reader-side delivery — while a purely local type-4
-/// pairing records none.
-fn record_hop(ctx: &ProcCtx, shared: &AppShared, cell_id: usize, chan: usize, what: &str) {
-    if !shared.recorder.is_enabled() {
-        return;
-    }
-    let Some(entry) = shared.tables.channels.get(chan) else {
-        return;
-    };
-    let ty = entry.kind.type_number();
-    shared.recorder.record_proxy_hop(ty);
-    let lane = shared.recorder.lane(&format!("copilot{cell_id}"));
-    shared.recorder.instant(
-        lane,
-        "copilot",
-        &format!("{what} c{chan} (type {ty})"),
-        ctx.now().0,
-        None,
-    );
-}
-
-/// Type-4 pairing: both buffer addresses are in hand; `memcpy` between the
-/// two mapped local stores and notify both SPEs. The pairing charge models
-/// the paper's poll-until-second-request behaviour.
-fn pair_type4(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    _chan: usize,
-    w: PendingReq,
-    r: PendingReq,
-) {
-    // The pairing drains the write whatever its outcome — return its
-    // flow-control send credit.
-    shared.release_credit(_chan);
-    charge(ctx, shared.costs.copilot_pair_poll_us);
-    charge(ctx, 2.0 * cell.costs.ea_translate_us);
-    if w.len > r.len {
-        complete(ctx, cell, w.hw, completion_err(CompletionError::Overflow));
-        complete(ctx, cell, r.hw, completion_err(CompletionError::Overflow));
-        return;
-    }
-    cell.ppe_memcpy(
-        ctx,
-        ls_ea(r.hw, r.addr as usize),
-        ls_ea(w.hw, w.addr as usize),
-        w.len as usize,
-    )
-    .expect("type-4 buffers within local stores");
-    complete(ctx, cell, w.hw, completion_ok(w.len as usize));
-    complete(ctx, cell, r.hw, completion_ok(w.len as usize));
-    trace_copilot(
-        ctx,
-        shared,
-        cell.id,
-        crate::trace::TraceOp::CopilotPair,
-        _chan,
-        w.len as usize,
-    );
-}
-
-fn complete(ctx: &ProcCtx, cell: &Arc<CellNode>, hw: usize, word: u32) {
-    cell.spes[hw].mbox.ppe_write_inbox(ctx, &cell.costs, word);
 }

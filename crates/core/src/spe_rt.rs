@@ -310,7 +310,7 @@ impl SpeCtx {
     }
 
     /// Post a classic 16-byte request block and wait for completion.
-    fn transact(&self, req: Request) -> Result<usize, CpError> {
+    pub(crate) fn transact(&self, req: Request) -> Result<usize, CpError> {
         self.transact_block(&req.encode(), req.chan as usize, req.len as usize)
             .map(|(n, _)| n)
     }

@@ -166,10 +166,12 @@ pub(crate) struct PendingReq {
     pub len: u32,
 }
 
-/// The Co-Pilot's in-flight proxy state. Lives in [`NodeShared`] rather
-/// than on the service loop's stack so a standby Co-Pilot adopting the
-/// node after a failover resumes with every pending request, undelivered
-/// message, and the stall bookkeeping intact.
+/// The Co-Pilot's in-flight proxy state. The running service loop owns
+/// it; a primary that retires hands it back to [`NodeShared::co_state`],
+/// so a standby Co-Pilot adopting the node after a failover resumes with
+/// every pending request, undelivered message, and the stall bookkeeping
+/// intact.
+#[derive(Default)]
 pub(crate) struct CoState {
     /// Read requests waiting for data, per channel.
     pub pending_reads: HashMap<usize, VecDeque<PendingReq>>,
@@ -190,8 +192,10 @@ pub(crate) struct NodeShared {
     pub queue: MsgQueue<CoEvent>,
     /// `true` = hardware SPE is free.
     pub free_spes: Mutex<Vec<bool>>,
-    /// The Co-Pilot's proxy tables, shared so a standby can adopt them.
-    pub co_state: Mutex<CoState>,
+    /// The Co-Pilot's proxy tables while no service loop holds them: at
+    /// start, and between a primary's retirement and its standby's
+    /// adoption.
+    pub co_state: Mutex<Option<CoState>>,
     /// Node-local liveness signal between the primary Co-Pilot and its
     /// standby's watchdog.
     pub hb: Heartbeat,
@@ -210,12 +214,7 @@ impl NodeShared {
         Arc::new(NodeShared {
             queue: MsgQueue::new(&format!("copilot{}-queue", cell.id), None),
             free_spes: Mutex::new(vec![true; n]),
-            co_state: Mutex::new(CoState {
-                pending_reads: HashMap::new(),
-                pending_writes: HashMap::new(),
-                pending_mpi: HashMap::new(),
-                stall_done: false,
-            }),
+            co_state: Mutex::new(Some(CoState::default())),
             hb: Heartbeat::new(),
             hb_rec: Mutex::new(Recorder::disabled()),
             queue_sent: AtomicU64::new(0),
@@ -262,7 +261,7 @@ impl NodeShared {
     }
 
     /// Record the happens-before receive edge for a queue pop. Call right
-    /// after `queue.pop` returns; the service loop is the queue's only
+    /// after the pop returns; the service loop is the queue's only
     /// consumer (a standby starts only after the primary retired), so pops
     /// consume sequence numbers in push order.
     pub(crate) fn note_queue_pop(&self, ctx: &ProcCtx) {

@@ -7,7 +7,7 @@ use cellpilot::trace::{TraceEvent, TraceOp};
 use cellpilot::{
     CellPilotConfig, CellPilotOpts, CpChannel, CpError, SpeProgram, SupervisionPolicy, CP_MAIN,
 };
-use cp_des::{IncidentCategory, SimDuration, SimReport, SimTime};
+use cp_des::{IncidentCategory, SimDuration, SimError, SimReport, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
 use std::sync::{Arc, Mutex};
 
@@ -369,6 +369,47 @@ fn copilot_failover_output_matches_fault_free_run() {
         "{cats:?}"
     );
     assert!(!cats.contains(&IncidentCategory::PeerLost), "{cats:?}");
+}
+
+/// A primary still inside a scripted stall when its standby's watchdog
+/// fires has not handed its proxy tables over, and two service loops
+/// cannot share them: the run aborts with a diagnostic naming the node,
+/// instead of hanging the host or panicking the standby.
+#[test]
+fn standby_adopting_from_a_stalled_primary_aborts_with_a_diagnostic() {
+    let spec = ClusterSpec::two_cells_one_xeon();
+    let plan = FaultPlan::new()
+        .stall_copilot(NodeId(0), SimTime(100_000), SimDuration::from_millis(3))
+        .kill_copilot(NodeId(0), SimTime(400_000));
+    let opts = CellPilotOpts::new().with_faults(Arc::new(plan));
+    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
+    let writer = SpeProgram::new("writer", 2048, |spe, _, _| {
+        for i in 0..5i32 {
+            spe.write_slice(CpChannel(0), &[i]).unwrap();
+            assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), vec![i]);
+        }
+    });
+    let s = cfg.create_spe_process(&writer, CP_MAIN, 0).unwrap();
+    let data = cfg.channel(s, CP_MAIN).build().unwrap();
+    let ack = cfg.channel(CP_MAIN, s).build().unwrap();
+    let result = cfg.run(move |cp| {
+        let t = cp.run_spe(s, 0, 0).unwrap();
+        for i in 0..5i32 {
+            assert_eq!(cp.read_vec::<i32>(data).unwrap(), vec![i]);
+            cp.write_slice(ack, &[i]).unwrap();
+        }
+        cp.wait_spe(t);
+    });
+    match result {
+        Err(SimError::Aborted { name, message, .. }) => {
+            assert_eq!(name, "copilot0-standby");
+            assert!(
+                message.contains("standby Co-Pilot on node 0: the primary still holds"),
+                "{message}"
+            );
+        }
+        other => panic!("expected the standby to abort, got {other:?}"),
+    }
 }
 
 /// Supervision is a budget, not a blank cheque: enough stacked crashes

@@ -103,6 +103,12 @@ pub trait Executor: Send + Sync {
 pub trait Spawner {
     /// Spawn a root process.
     fn spawn_boxed(&mut self, name: &str, body: ProcBody) -> Pid;
+    /// Spawn a root [`Reactor`]. The default drives it on a thread of its
+    /// own with [`drive`]; the DES kernel hosts it inline instead, with the
+    /// same schedule.
+    fn spawn_reactor_boxed(&mut self, name: &str, mut reactor: Box<dyn Reactor>) -> Pid {
+        self.spawn_boxed(name, Box::new(move |ctx| drive(ctx, &mut *reactor)))
+    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 
 use crate::backend::{Backend, Executor, ProcBody, Spawner};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
-use crate::reactor::{Poll, Reactor, Reason, Step};
+use crate::reactor::{carry_out, Poll, Reactor, Reason, Step};
 use crate::time::{SimDuration, SimTime};
 use cp_trace::Recorder;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -407,11 +407,18 @@ impl Kernel {
                     st.procs[pid].status = Status::Waiting;
                 }
                 Step::Block(reason) => {
-                    if st.procs[pid].pending_wakes > 0 {
-                        st.procs[pid].pending_wakes -= 1;
+                    if Kernel::take_wake(&mut st, pid) {
                         continue;
                     }
                     st.procs[pid].status = Status::Blocked(reason);
+                }
+                Step::BlockTimeout(reason, timeout) => {
+                    if Kernel::take_wake(&mut st, pid) {
+                        continue;
+                    }
+                    st.procs[pid].status = Status::Blocked(reason);
+                    let at = st.now + timeout;
+                    Kernel::push_event(&mut st, at, pid);
                 }
                 Step::Exit => unreachable!("handled above"),
             }
@@ -419,6 +426,16 @@ impl Kernel {
             st.cpu_busy = false;
             return st;
         }
+    }
+
+    /// Consume a wake banked for `pid` while it ran, if there is one: a
+    /// block then returns at once instead of yielding.
+    fn take_wake(st: &mut KState, pid: Pid) -> bool {
+        let banked = st.procs[pid].pending_wakes > 0;
+        if banked {
+            st.procs[pid].pending_wakes -= 1;
+        }
+        banked
     }
 
     /// Mark `pid` finished, release its joiners and the CPU.
@@ -491,8 +508,7 @@ impl Kernel {
         let mut st = self.state.lock();
         let baton = Kernel::own_baton(&st, pid, "block");
         debug_assert!(matches!(st.procs[pid].status, Status::Running));
-        if st.procs[pid].pending_wakes > 0 {
-            st.procs[pid].pending_wakes -= 1;
+        if Kernel::take_wake(&mut st, pid) {
             return false;
         }
         st.procs[pid].status = Status::Blocked(reason);
@@ -688,9 +704,11 @@ impl ProcCtx {
         loop {
             match poll() {
                 Poll::Ready(v) => return Some(v),
-                Poll::Pending(Step::Advance(d)) => self.advance(d),
-                Poll::Pending(Step::Block(reason)) => self.block(reason),
-                Poll::Pending(Step::Exit) => return None,
+                Poll::Pending(step) => {
+                    if !carry_out(self, step) {
+                        return None;
+                    }
+                }
             }
         }
     }
@@ -914,6 +932,10 @@ impl Simulation {
 impl Spawner for Simulation {
     fn spawn_boxed(&mut self, name: &str, body: ProcBody) -> Pid {
         spawn_process(&self.kernel, name, body)
+    }
+
+    fn spawn_reactor_boxed(&mut self, name: &str, reactor: Box<dyn Reactor>) -> Pid {
+        host_reactor(&self.kernel, name, reactor)
     }
 }
 

@@ -43,10 +43,12 @@ mod error;
 mod kernel;
 mod reactor;
 pub mod sync;
+mod task;
 mod time;
 
 pub use backend::{Backend, Executor, ProcBody, Spawner};
 pub use error::{sort_incidents, Incident, IncidentCategory, Pid, SimError, SimReport};
 pub use kernel::{ProcCtx, Simulation};
 pub use reactor::{drive, Poll, Reactor, Reason, Step};
+pub use task::{task, Task, TaskCtx};
 pub use time::{SimDuration, SimTime};

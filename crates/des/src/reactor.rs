@@ -19,11 +19,13 @@
 //! `block_timeout`, `join`) fail the run with a
 //! [`crate::SimError::ProcessPanicked`] naming the reactor.
 //!
-//! The non-blocking *poll cores* ([`crate::sync::MsgQueue::poll_pop`] and
-//! the mailbox and MPI cores built the same way) return [`Poll`]: either
-//! the value, or the [`Step`] to take before polling again. A reactor
-//! returns that step; a thread process carries it out with
-//! [`ProcCtx::drive_poll`], which is how the blocking calls are built.
+//! The non-blocking *poll cores* ([`crate::sync::MsgQueue::poll_pop`],
+//! [`crate::sync::MsgQueue::poll_push`] and the mailbox and MPI cores
+//! built the same way) return [`Poll`]: either the value, or the [`Step`]
+//! to take before polling again. A reactor returns that step; a thread
+//! process carries it out with [`ProcCtx::drive_poll`], which is how the
+//! blocking calls are built. A reactor with many waits in a row is easier
+//! to write as an `async` body run by [`crate::task`].
 
 use crate::error::Pid;
 use crate::kernel::ProcCtx;
@@ -40,6 +42,10 @@ pub enum Step {
     /// Wait for an `unblock`, then step again. A wake banked while the
     /// reactor ran is consumed at once, without a dispatch.
     Block(Reason),
+    /// Like `Block`, but step again after the given virtual time if no
+    /// `unblock` came first — the step form of [`ProcCtx::block_timeout`].
+    /// The next step tells the two apart by the clock.
+    BlockTimeout(Reason, SimDuration),
     /// The process is finished; any process joining it is released.
     Exit,
 }
@@ -71,13 +77,21 @@ impl<F: FnMut(&ProcCtx) -> Step + Send> Reactor for F {
 /// default [`crate::Executor::spawn_reactor`], and gives the same schedule
 /// as kernel hosting.
 pub fn drive<R: Reactor + ?Sized>(ctx: &ProcCtx, reactor: &mut R) {
-    loop {
-        match reactor.step(ctx) {
-            Step::Advance(d) => ctx.advance(d),
-            Step::Block(reason) => ctx.block(reason),
-            Step::Exit => return,
+    while carry_out(ctx, reactor.step(ctx)) {}
+}
+
+/// Carry out `step` on the calling thread with the blocking `ProcCtx`
+/// calls; `false` for [`Step::Exit`].
+pub(crate) fn carry_out(ctx: &ProcCtx, step: Step) -> bool {
+    match step {
+        Step::Advance(d) => ctx.advance(d),
+        Step::Block(reason) => ctx.block(reason),
+        Step::BlockTimeout(reason, d) => {
+            ctx.block_timeout(reason, d);
         }
+        Step::Exit => return false,
     }
+    true
 }
 
 /// Why a process is blocked, as the deadlock report prints it.

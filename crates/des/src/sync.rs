@@ -5,8 +5,9 @@
 //! kernel's virtual clock: a message can carry an *availability time* so a
 //! receiver resumes exactly when the modelled transfer completes, and all
 //! blocking operations park the calling process with a descriptive reason
-//! that shows up in deadlock diagnostics. [`MsgQueue::poll_pop`] is the
-//! non-blocking core a kernel-hosted [`crate::Reactor`] receives with.
+//! that shows up in deadlock diagnostics. [`MsgQueue::poll_pop`] and
+//! [`MsgQueue::poll_push`] are the non-blocking cores a kernel-hosted
+//! [`crate::Reactor`] receives and sends with.
 
 use crate::error::Pid;
 use crate::kernel::ProcCtx;
@@ -71,37 +72,41 @@ impl<T> MsgQueue<T> {
     /// available to receivers at `now + latency`.
     pub fn push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) {
         let mut item = Some(item);
-        loop {
-            let reason;
-            {
-                let mut st = self.state.lock();
-                if self.capacity.is_none_or(|c| st.items.len() < c) {
-                    let avail = ctx.now() + latency;
-                    st.items.push_back((avail, item.take().unwrap()));
-                    if let Some(w) = st.pop_waiters.pop_front() {
-                        ctx.unblock(w, latency);
-                    }
-                    return;
-                }
-                st.push_waiters.push_back(ctx.pid());
-                reason = Reason::new("push (queue full)").on(&st.label);
-            }
-            ctx.block(reason);
+        ctx.drive_poll(|| self.poll_push(ctx, &mut item, latency))
+            .expect("a queue push never exits");
+    }
+
+    /// The non-blocking core of [`MsgQueue::push`]: enqueue the item out of
+    /// `item` if there is room; otherwise register the caller as a pusher
+    /// and return the block to take before polling again. `item` must hold
+    /// the item until this returns `Ready`.
+    pub fn poll_push(&self, ctx: &ProcCtx, item: &mut Option<T>, latency: SimDuration) -> Poll<()> {
+        let mut st = self.state.lock();
+        if self.capacity.is_none_or(|c| st.items.len() < c) {
+            let item = item.take().expect("a pushed item is pushed once");
+            Self::insert(&mut st, ctx, item, latency);
+            return Poll::Ready(());
         }
+        st.push_waiters.push_back(ctx.pid());
+        Poll::Pending(Step::Block(Reason::new("push (queue full)").on(&st.label)))
     }
 
     /// Enqueue without blocking; returns the item back if the queue is full.
     pub fn try_push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) -> Result<(), T> {
         let mut st = self.state.lock();
         if self.capacity.is_none_or(|c| st.items.len() < c) {
-            let avail = ctx.now() + latency;
-            st.items.push_back((avail, item));
-            if let Some(w) = st.pop_waiters.pop_front() {
-                ctx.unblock(w, latency);
-            }
+            Self::insert(&mut st, ctx, item, latency);
             Ok(())
         } else {
             Err(item)
+        }
+    }
+
+    /// Append `item`, available at `now + latency`, and wake one popper.
+    fn insert(st: &mut QueueState<T>, ctx: &ProcCtx, item: T, latency: SimDuration) {
+        st.items.push_back((ctx.now() + latency, item));
+        if let Some(w) = st.pop_waiters.pop_front() {
+            ctx.unblock(w, latency);
         }
     }
 
@@ -333,6 +338,77 @@ mod tests {
             assert_eq!(qc.pop(ctx), 2);
         });
         sim.run().unwrap();
+    }
+
+    /// `(event, item, ns)` entries of [`full_queue_scenario`].
+    type QueueLog = Vec<(&'static str, u8, u64)>;
+
+    /// A producer pushing three items through a one-slot queue, by
+    /// blocking `push` on a thread or by `poll_push` from a reactor, and a
+    /// consumer draining it late. Returns the dispatch trace and the
+    /// `(item, ns)` log of completed pushes and pops.
+    fn full_queue_scenario(polled: bool) -> (Vec<(SimTime, Pid)>, QueueLog) {
+        let q: MsgQueue<u8> = MsgQueue::new("slot", Some(1));
+        let log = Arc::new(PMutex::new(Vec::new()));
+        let mut sim = Simulation::with_trace();
+        let (qp, qc, lp, lc) = (q.clone(), q, log.clone(), log.clone());
+        if polled {
+            let mut next = 1u8;
+            let mut item = None;
+            sim.spawn_reactor("producer", move |ctx: &ProcCtx| loop {
+                if next > 3 {
+                    return Step::Exit;
+                }
+                item.get_or_insert(next);
+                match qp.poll_push(ctx, &mut item, SimDuration::from_nanos(100)) {
+                    Poll::Ready(()) => {
+                        lp.lock().push(("push", next, ctx.now().as_nanos()));
+                        next += 1;
+                    }
+                    Poll::Pending(step) => {
+                        assert!(matches!(&step, Step::Block(r) if r.to_string() == "slot: push (queue full)"));
+                        return step;
+                    }
+                }
+            });
+        } else {
+            sim.spawn("producer", move |ctx| {
+                for i in 1..=3u8 {
+                    qp.push(ctx, i, SimDuration::from_nanos(100));
+                    lp.lock().push(("push", i, ctx.now().as_nanos()));
+                }
+            });
+        }
+        sim.spawn("consumer", move |ctx| {
+            for _ in 0..3 {
+                ctx.advance(SimDuration::from_micros(5));
+                let i = qc.pop(ctx);
+                lc.lock().push(("pop", i, ctx.now().as_nanos()));
+            }
+        });
+        let report = sim.run().unwrap();
+        let log = log.lock().clone();
+        (report.trace.unwrap(), log)
+    }
+
+    #[test]
+    fn poll_push_on_a_full_queue_matches_blocking_push() {
+        let (trace_t, log_t) = full_queue_scenario(false);
+        let (trace_r, log_r) = full_queue_scenario(true);
+        assert_eq!(trace_r, trace_t, "dispatch trace");
+        assert_eq!(log_r, log_t);
+        // Each push after the first waits for the pop that frees the slot.
+        assert_eq!(
+            log_r,
+            vec![
+                ("push", 1, 0),
+                ("pop", 1, 5_000),
+                ("push", 2, 5_000),
+                ("pop", 2, 10_000),
+                ("push", 3, 10_000),
+                ("pop", 3, 15_000),
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use cp_des::sync::MsgQueue;
 use cp_des::{
-    drive, Poll, ProcCtx, Reactor, Reason, SimDuration, SimError, SimTime, Simulation, Step,
+    drive, task, Poll, ProcCtx, Reactor, Reason, SimDuration, SimError, SimTime, Simulation,
+    Spawner, Step,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -35,13 +36,32 @@ impl Reactor for Relay {
     }
 }
 
+/// The [`Relay`] loop written as an async task: the same yields, in a
+/// straight line.
+fn relay_task(input: MsgQueue<u32>, output: MsgQueue<u32>) -> impl Reactor {
+    task(move |t| async move {
+        loop {
+            let item = t.poll(|| input.poll_pop(t.ctx())).await;
+            t.advance(SimDuration::from_nanos(300 + 11 * item as u64))
+                .await;
+            let mut slot = Some(item);
+            t.poll(|| output.poll_push(t.ctx(), &mut slot, SimDuration::from_nanos(700)))
+                .await;
+            if item == 0 {
+                return;
+            }
+        }
+    })
+}
+
 /// A run's dispatch trace, end time and `(item, arrival ns)` log.
 type Outcome = (Vec<(SimTime, usize)>, SimTime, Vec<(u32, u64)>);
 
 /// A producer, a relay, a consumer that joins the relay, and a ticker
-/// reactor, under schedule seed `seed`; the relay and ticker hosted by the
+/// reactor, under schedule seed `seed`; the relay (a hand-written state
+/// machine, or an async task when `as_task`) and the ticker hosted by the
 /// kernel or driven on threads.
-fn relay_scenario(seed: u64, hosted: bool) -> Outcome {
+fn relay_scenario(seed: u64, hosted: bool, as_task: bool) -> Outcome {
     let mut sim = Simulation::with_trace();
     sim.set_schedule_seed(seed);
     let (a, b) = (MsgQueue::new("a", Some(2)), MsgQueue::new("b", None));
@@ -53,10 +73,14 @@ fn relay_scenario(seed: u64, hosted: bool) -> Outcome {
             ctx.advance(SimDuration::from_nanos(150));
         }
     });
-    let mut relay = Relay {
-        input: a,
-        output: b,
-        pending: None,
+    let mut relay: Box<dyn Reactor> = if as_task {
+        Box::new(relay_task(a, b.clone()))
+    } else {
+        Box::new(Relay {
+            input: a,
+            output: b,
+            pending: None,
+        })
     };
     let mut ticks = 0u32;
     let mut ticker = move |_ctx: &ProcCtx| {
@@ -69,10 +93,10 @@ fn relay_scenario(seed: u64, hosted: bool) -> Outcome {
     };
     let relay_pid = if hosted {
         sim.spawn_reactor("ticker", ticker);
-        sim.spawn_reactor("relay", relay)
+        sim.spawn_reactor_boxed("relay", relay)
     } else {
         sim.spawn("ticker", move |ctx| drive(ctx, &mut ticker));
-        sim.spawn("relay", move |ctx| drive(ctx, &mut relay))
+        sim.spawn("relay", move |ctx| drive(ctx, &mut *relay))
     };
     sim.spawn("consumer", move |ctx| {
         loop {
@@ -92,13 +116,68 @@ fn relay_scenario(seed: u64, hosted: bool) -> Outcome {
 #[test]
 fn hosted_reactor_schedule_matches_thread_driven() {
     for seed in 0..=8u64 {
-        let (trace_h, end_h, log_h) = relay_scenario(seed, true);
-        let (trace_t, end_t, log_t) = relay_scenario(seed, false);
+        let (trace_h, end_h, log_h) = relay_scenario(seed, true, false);
+        let (trace_t, end_t, log_t) = relay_scenario(seed, false, false);
         assert_eq!(trace_h, trace_t, "seed {seed}: dispatch traces differ");
         assert_eq!(end_h, end_t, "seed {seed}");
         assert_eq!(log_h, log_t, "seed {seed}");
         assert_eq!(log_h.len(), 12);
     }
+}
+
+#[test]
+fn async_task_schedule_matches_the_state_machine() {
+    for seed in 0..=8u64 {
+        let machine = relay_scenario(seed, true, false);
+        for hosted in [true, false] {
+            let task = relay_scenario(seed, hosted, true);
+            assert_eq!(task, machine, "seed {seed}, hosted {hosted}");
+        }
+    }
+}
+
+/// A waiter making three timed blocks — one that times out, one woken
+/// early, and one that must not be cut short by the early-woken block's
+/// stale deadline — as an async task or with `block_timeout` on a thread.
+/// Returns the dispatch trace and the resume instants.
+fn timed_blocks(hosted: bool) -> (Vec<(SimTime, usize)>, Vec<u64>) {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::with_trace();
+    let l = log.clone();
+    let waits = [("first", 25u64), ("second", 100), ("third", 290)];
+    let waiter = if hosted {
+        sim.spawn_reactor(
+            "waiter",
+            task(move |t| async move {
+                for (what, us) in waits {
+                    let d = SimDuration::from_micros(us);
+                    t.step(Step::BlockTimeout(Reason::new(what), d)).await;
+                    l.lock().push(t.ctx().now().as_nanos());
+                }
+            }),
+        )
+    } else {
+        sim.spawn("waiter", move |ctx| {
+            for (what, us) in waits {
+                ctx.block_timeout(what, SimDuration::from_micros(us));
+                l.lock().push(ctx.now().as_nanos());
+            }
+        })
+    };
+    sim.spawn("waker", move |ctx| {
+        ctx.advance(SimDuration::from_micros(35));
+        ctx.unblock(waiter, SimDuration::ZERO);
+    });
+    let report = sim.run().unwrap();
+    let log = log.lock().clone();
+    (report.trace.unwrap(), log)
+}
+
+#[test]
+fn timed_block_step_matches_block_timeout() {
+    let hosted = timed_blocks(true);
+    assert_eq!(hosted, timed_blocks(false));
+    assert_eq!(hosted.1, vec![25_000, 35_000, 325_000]);
 }
 
 #[test]

@@ -41,4 +41,4 @@ pub use costs::MpiCosts;
 pub use datatype::{decode_slice, encode_slice, Datatype, LongDouble, MpiScalar};
 pub use group::{Color, SubComm};
 pub use message::{absorb_rank_death, Envelope, MailStore, Payload, Rank, SrcSel, Tag, TagSel};
-pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg, RecvOp};
+pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg, RecvOp, SendOp};

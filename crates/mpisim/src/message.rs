@@ -110,6 +110,25 @@ pub fn absorb_rank_death<T>(f: impl FnOnce() -> T) -> Option<T> {
     }
 }
 
+/// A bounded receive in progress, advanced by
+/// [`MailStore::poll_recv_where_deadline`].
+pub(crate) struct DeadlineRecv {
+    deadline_at: SimTime,
+    /// The match arrives after the deadline: the advance to the deadline
+    /// has been yielded and the receive has failed.
+    expired: bool,
+}
+
+impl DeadlineRecv {
+    /// A receive that gives up `deadline` of virtual time from now.
+    pub(crate) fn new(ctx: &ProcCtx, deadline: SimDuration) -> DeadlineRecv {
+        DeadlineRecv {
+            deadline_at: ctx.now() + deadline,
+            expired: false,
+        }
+    }
+}
+
 struct StoreInner {
     arrived: Vec<(SimTime, u64, Envelope)>,
     next_arrival: u64,
@@ -313,7 +332,8 @@ impl MailStore {
     /// Like [`MailStore::recv_where`], but gives up `deadline` of virtual
     /// time after the call, returning `None` with the clock at exactly
     /// `start + deadline`. A message whose modelled arrival instant lies
-    /// beyond the deadline does not count as received.
+    /// beyond the deadline does not count as received. A thin loop over
+    /// its non-blocking core, which [`crate::Comm::poll_send`] also uses.
     pub fn recv_where_deadline<F>(
         &self,
         ctx: &ProcCtx,
@@ -325,44 +345,57 @@ impl MailStore {
         F: Fn(&Envelope) -> bool,
     {
         let what = what.into();
-        let deadline_at = ctx.now() + deadline;
-        loop {
-            let reason;
-            {
-                let mut st = self.inner.lock();
-                if st.poisoned || st.forward_to.is_some() {
-                    drop(st);
-                    std::panic::resume_unwind(Box::new(RankDeadUnwind));
-                }
-                if let Some((idx, at)) = Self::best_match(&st, &pred) {
-                    if at <= ctx.now() {
-                        let (_, _, env) = st.arrived.remove(idx);
-                        return Some(env);
-                    }
-                    if at > deadline_at {
-                        // It will arrive, but too late to matter.
-                        let wait = deadline_at - ctx.now();
-                        drop(st);
-                        ctx.advance(wait);
-                        return None;
-                    }
-                    let wait = at - ctx.now();
-                    drop(st);
-                    ctx.advance(wait);
-                    continue;
-                }
-                if ctx.now() >= deadline_at {
-                    return None;
-                }
-                st.waiters.push_back(ctx.pid());
-                reason = what.clone().on(&st.label);
+        let mut op = DeadlineRecv::new(ctx, deadline);
+        match ctx.drive_poll(|| self.poll_recv_where_deadline(ctx, &what, &pred, &mut op)) {
+            Some(env) => env,
+            None => std::panic::resume_unwind(Box::new(RankDeadUnwind)),
+        }
+    }
+
+    /// The non-blocking core of [`MailStore::recv_where_deadline`]:
+    /// `Ready(Some(envelope))` once a match has arrived, `Ready(None)` once
+    /// `op`'s deadline has passed; otherwise the step to take before
+    /// polling again — advance to the match's arrival (or to the deadline,
+    /// if it arrives later), block until a delivery or the deadline, or
+    /// exit because the store is poisoned or retired.
+    pub(crate) fn poll_recv_where_deadline<F>(
+        &self,
+        ctx: &ProcCtx,
+        what: &Reason,
+        pred: F,
+        op: &mut DeadlineRecv,
+    ) -> Poll<Option<Envelope>>
+    where
+        F: Fn(&Envelope) -> bool,
+    {
+        if op.expired {
+            return Poll::Ready(None);
+        }
+        let mut st = self.inner.lock();
+        if st.poisoned || st.forward_to.is_some() {
+            return Poll::Pending(Step::Exit);
+        }
+        let now = ctx.now();
+        match Self::best_match(&st, pred) {
+            Some((idx, at)) if at <= now => Poll::Ready(Some(st.arrived.remove(idx).2)),
+            Some((_, at)) if at > op.deadline_at => {
+                // It will arrive, but too late to matter.
+                op.expired = true;
+                Poll::Pending(Step::Advance(op.deadline_at - now))
             }
-            let remaining = deadline_at - ctx.now();
-            if !ctx.block_timeout(reason, remaining) {
-                // Deadline fired while parked: deregister and give up.
+            Some((_, at)) => Poll::Pending(Step::Advance(at - now)),
+            // Nothing matched by the deadline. A deadline wake lands here
+            // too: any delivery in between would have woken the wait
+            // early, so there is nothing to re-check.
+            None if now >= op.deadline_at => {
                 let me = ctx.pid();
-                self.inner.lock().waiters.retain(|&p| p != me);
-                return None;
+                st.waiters.retain(|&p| p != me);
+                Poll::Ready(None)
+            }
+            None => {
+                st.waiters.push_back(ctx.pid());
+                let reason = what.clone().on(&st.label);
+                Poll::Pending(Step::BlockTimeout(reason, op.deadline_at - now))
             }
         }
     }

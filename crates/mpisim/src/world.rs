@@ -3,14 +3,17 @@
 
 use crate::costs::MpiCosts;
 use crate::datatype::{decode_slice, encode_slice, Datatype, MpiScalar};
-use crate::message::{Envelope, MailStore, Payload, Rank, RankDeadUnwind, SrcSel, Tag, TagSel};
+use crate::message::{
+    DeadlineRecv, Envelope, MailStore, Payload, Rank, RankDeadUnwind, SrcSel, Tag, TagSel,
+};
 use cp_des::{
-    IncidentCategory, Poll, ProcCtx, Reason, SimDuration, SimError, SimReport, Simulation, Spawner,
-    Step,
+    task, IncidentCategory, Poll, ProcCtx, Reason, SimDuration, SimError, SimReport, Simulation,
+    Spawner, Step, TaskCtx,
 };
 use cp_simnet::{Cluster, ClusterSpec, FaultPlan, LinkVerdict, NodeId, NodeKind, RetryPolicy};
 use cp_trace::Recorder;
 use std::fmt;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -247,20 +250,7 @@ impl MpiWorld {
     ) where
         S: Spawner + ?Sized,
     {
-        if let Some(at) = self.inner.faults.death_of(rank) {
-            let world = self.clone();
-            sim.spawn_boxed(
-                &format!("reaper-rank{rank}"),
-                Box::new(move |ctx| {
-                    ctx.advance(SimDuration::from_nanos(at.as_nanos()));
-                    world.inner.boxes[rank].poison(ctx);
-                    ctx.report_incident(
-                        IncidentCategory::RankDeath,
-                        &format!("rank {rank} killed by fault plan at {at}"),
-                    );
-                }),
-            );
-        }
+        self.spawn_reaper(sim, rank);
         let world = self.clone();
         sim.spawn_boxed(
             name,
@@ -277,6 +267,46 @@ impl MpiWorld {
                 }
             }),
         );
+    }
+
+    /// The reactor form of [`MpiWorld::launch`]: run `body` for `rank` as
+    /// an async [`task`], which the DES kernel hosts inline. The body
+    /// communicates through the poll cores ([`Comm::poll_send`],
+    /// [`Comm::poll_recv`]) awaited on its [`TaskCtx`]; where a thread
+    /// process would unwind as dead, the task simply ends. Pid, name and
+    /// schedule are those the thread form would have.
+    pub fn launch_task<S, F, Fut>(&self, sim: &mut S, rank: Rank, name: &str, body: F)
+    where
+        S: Spawner + ?Sized,
+        F: FnOnce(Comm, TaskCtx) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.spawn_reaper(sim, rank);
+        let world = self.clone();
+        let reactor = task(move |t| {
+            let comm = world.attach(t.ctx(), rank);
+            body(comm, t)
+        });
+        sim.spawn_reactor_boxed(name, Box::new(reactor));
+    }
+
+    /// If the fault plan schedules `rank`'s death, spawn the companion
+    /// reaper that poisons the rank's mailbox at the scripted instant.
+    fn spawn_reaper<S: Spawner + ?Sized>(&self, sim: &mut S, rank: Rank) {
+        if let Some(at) = self.inner.faults.death_of(rank) {
+            let world = self.clone();
+            sim.spawn_boxed(
+                &format!("reaper-rank{rank}"),
+                Box::new(move |ctx| {
+                    ctx.advance(SimDuration::from_nanos(at.as_nanos()));
+                    world.inner.boxes[rank].poison(ctx);
+                    ctx.report_incident(
+                        IncidentCategory::RankDeath,
+                        &format!("rank {rank} killed by fault plan at {at}"),
+                    );
+                }),
+            );
+        }
     }
 }
 
@@ -325,6 +355,78 @@ enum RecvState {
     Data { head: Head, id: u64 },
     /// Received and charged: ready on the next poll.
     Charged(Msg),
+}
+
+/// A send in progress, advanced by [`Comm::poll_send`].
+pub struct SendOp {
+    dst: Rank,
+    tag: Tag,
+    dtype: Datatype,
+    count: usize,
+    state: SendState,
+}
+
+impl SendOp {
+    /// A send of `count` `dtype` elements (pre-encoded as `data`) to `dst`
+    /// under `tag`, as [`Comm::try_send_bytes`].
+    pub fn new(dst: Rank, tag: Tag, dtype: Datatype, count: usize, data: Vec<u8>) -> SendOp {
+        SendOp {
+            dst,
+            tag,
+            dtype,
+            count,
+            state: SendState::Start(data),
+        }
+    }
+
+    /// The next envelope of this send, with a fresh wire sequence number.
+    fn envelope(&self, comm: &Comm, payload: Payload) -> Envelope {
+        Envelope {
+            src: comm.rank,
+            dst: self.dst,
+            tag: self.tag,
+            dtype: self.dtype,
+            count: self.count,
+            wire_seq: comm.inner.mint_wire_seq(),
+            payload,
+        }
+    }
+}
+
+enum SendState {
+    /// Nothing done yet.
+    Start(Vec<u8>),
+    /// The sender-side cost is charged; the first envelope is next.
+    Charged(Vec<u8>),
+    /// Transmission attempt number `attempt` of `env` is next; `bytes`
+    /// sizes its transport. A rendezvous header carries the handshake id
+    /// and the data to send once the receiver grants it.
+    Put {
+        env: Option<Envelope>,
+        bytes: usize,
+        attempt: u32,
+        rendezvous: Option<(u64, Vec<u8>)>,
+    },
+    /// Waiting for the clear-to-send of rendezvous `id`, bounded by
+    /// `deadline` toward a peer with a scripted death.
+    Cts {
+        id: u64,
+        data: Vec<u8>,
+        deadline: Option<DeadlineRecv>,
+    },
+    /// Finished.
+    Done,
+}
+
+impl SendState {
+    fn put(env: Envelope, bytes: usize, rendezvous: Option<(u64, Vec<u8>)>) -> SendState {
+        SendState::Put {
+            env: Some(env),
+            bytes,
+            attempt: 0,
+            rendezvous,
+        }
+    }
 }
 
 /// This rank's handle on the world (`MPI_COMM_WORLD` + the owning process).
@@ -389,10 +491,6 @@ impl Comm {
         SimDuration::from_micros_f64(self.inner.costs.side_us(self.my_kind(), bytes, wire))
     }
 
-    fn charge_side(&self, bytes: usize, wire: bool) {
-        self.ctx.advance(self.side_cost(bytes, wire));
-    }
-
     /// Count one collective participation (every rank entering a
     /// collective counts once, so an N-rank bcast records N).
     pub(crate) fn record_collective(&self, op: &str) {
@@ -419,35 +517,21 @@ impl Comm {
             .is_some_and(|at| self.ctx.now() >= at)
     }
 
-    /// Fail-stop check: if this rank's own scripted death time has passed,
-    /// unwind the process (caught by [`MpiWorld::launch`]).
-    fn check_self_alive(&self) {
-        if let Some(at) = self.inner.faults.death_of(self.rank) {
-            if self.ctx.now() >= at {
-                panic::resume_unwind(Box::new(RankDeadUnwind));
-            }
-        }
+    /// Fail-stop check: whether this rank's own scripted death time has
+    /// passed, so its next communication call must end the process.
+    fn self_dead(&self) -> bool {
+        self.peer_lost(self.rank)
     }
 
-    /// Put one envelope on the fabric toward `dst`, consulting the fault
-    /// plan at egress. Injected drops are retransmitted under the world's
-    /// [`RetryPolicy`] (modelling link-level loss detection: the backoff is
-    /// virtual time the NIC spends before retrying, so recovery timing is
-    /// exactly reproducible); injected delays add latency; duplications
-    /// deliver twice. `bytes` sizes the transport cost of each attempt.
-    fn put(&self, dst: Rank, env: Envelope, bytes: usize) -> Result<(), MpiFault> {
-        let mut env = Some(env);
-        let mut attempt = 0u32;
-        while let Some(backoff) = self.put_attempt(dst, &mut env, bytes, attempt)? {
-            self.ctx.advance(backoff);
-            attempt += 1;
-        }
-        Ok(())
-    }
-
-    /// Transmission attempt number `attempt` of [`Comm::put`]: `None` once
-    /// the envelope is taken and delivered, or the backoff to spend before
-    /// the next attempt after an injected drop.
+    /// Transmission attempt number `attempt` of one envelope toward `dst`,
+    /// consulting the fault plan at egress: `None` once the envelope is
+    /// taken and delivered, or the backoff to spend before the next attempt
+    /// after an injected drop. Injected drops are retransmitted under the
+    /// world's [`RetryPolicy`] (modelling link-level loss detection: the
+    /// backoff is virtual time the NIC spends before retrying, so recovery
+    /// timing is exactly reproducible); injected delays add latency;
+    /// duplications deliver twice. `bytes` sizes the transport cost of the
+    /// attempt.
     fn put_attempt(
         &self,
         dst: Rank,
@@ -516,15 +600,21 @@ impl Comm {
     /// fault plan the two are identical.
     pub fn send_bytes(&self, dst: Rank, tag: Tag, dtype: Datatype, count: usize, data: Vec<u8>) {
         if let Err(fault) = self.try_send_bytes(dst, tag, dtype, count, data) {
-            self.ctx
-                .abort(&format!("MPI send to rank {dst} failed: {fault}"));
+            self.abort_send(dst, fault);
         }
+    }
+
+    /// Abort the run on a send to `dst` that failed with `fault`: what the
+    /// infallible sends do, for callers driving [`Comm::poll_send`].
+    pub fn abort_send(&self, dst: Rank, fault: MpiFault) -> ! {
+        self.ctx
+            .abort(&format!("MPI send to rank {dst} failed: {fault}"))
     }
 
     /// Fault-aware send: like [`Comm::send_bytes`] but surfaces
     /// unrecoverable injected faults — a peer already killed by the plan, or
     /// a message dropped more times than the retry budget allows — instead
-    /// of aborting.
+    /// of aborting. A thin loop over [`Comm::poll_send`].
     pub fn try_send_bytes(
         &self,
         dst: Rank,
@@ -533,79 +623,117 @@ impl Comm {
         count: usize,
         data: Vec<u8>,
     ) -> Result<(), MpiFault> {
-        assert!(dst < self.size(), "send to rank {dst} out of range");
-        debug_assert_eq!(data.len(), count * dtype.wire_size());
-        self.check_self_alive();
-        if self.peer_lost(dst) {
-            return Err(MpiFault::PeerLost { rank: dst });
-        }
-        let wire = self.is_wire(dst);
-        let bytes = data.len();
-        if let Some(r) = self.inner.recorder() {
-            r.record_send(bytes as u64);
-        }
-        self.charge_side(bytes, wire);
-        if bytes <= self.inner.costs.eager_limit {
-            return self.put(
-                dst,
-                Envelope {
-                    src: self.rank,
-                    dst,
-                    tag,
-                    dtype,
-                    count,
-                    wire_seq: self.inner.mint_wire_seq(),
-                    payload: Payload::Data(data),
+        let mut op = SendOp::new(dst, tag, dtype, count, data);
+        self.drive(|| self.poll_send(&mut op))
+    }
+
+    /// The non-blocking core of [`Comm::try_send_bytes`]: advance `op` as
+    /// far as it can go without yielding. Returns the outcome once the send
+    /// completes or fails; otherwise the step to take before polling again.
+    /// The steps are the sender-side charge, retransmission backoffs after
+    /// injected drops and, for a rendezvous, the wait for the receiver's
+    /// clear-to-send — bounded toward a peer with a scripted death, whose
+    /// death then surfaces as [`MpiFault::PeerLost`]. A send from a rank
+    /// past its own scripted death, or one whose mailbox is retired while
+    /// it waits, yields [`Step::Exit`].
+    pub fn poll_send(&self, op: &mut SendOp) -> Poll<Result<(), MpiFault>> {
+        let dst = op.dst;
+        loop {
+            match std::mem::replace(&mut op.state, SendState::Done) {
+                SendState::Start(data) => {
+                    assert!(dst < self.size(), "send to rank {dst} out of range");
+                    debug_assert_eq!(data.len(), op.count * op.dtype.wire_size());
+                    if self.self_dead() {
+                        return Poll::Pending(Step::Exit);
+                    }
+                    if self.peer_lost(dst) {
+                        return Poll::Ready(Err(MpiFault::PeerLost { rank: dst }));
+                    }
+                    if let Some(r) = self.inner.recorder() {
+                        r.record_send(data.len() as u64);
+                    }
+                    let cost = self.side_cost(data.len(), self.is_wire(dst));
+                    op.state = SendState::Charged(data);
+                    return Poll::Pending(Step::Advance(cost));
+                }
+                SendState::Charged(data) => {
+                    let bytes = data.len();
+                    op.state = if bytes <= self.inner.costs.eager_limit {
+                        SendState::put(op.envelope(self, Payload::Data(data)), bytes, None)
+                    } else {
+                        // Rendezvous: RTS → (wait CTS) → data.
+                        let id = self.inner.next_rdv.fetch_add(1, Ordering::Relaxed);
+                        let rts = op.envelope(self, Payload::Rts { id, bytes });
+                        SendState::put(rts, 0, Some((id, data)))
+                    };
+                }
+                SendState::Put {
+                    mut env,
+                    bytes,
+                    attempt,
+                    rendezvous,
+                } => match self.put_attempt(dst, &mut env, bytes, attempt) {
+                    Ok(None) => match rendezvous {
+                        None => return Poll::Ready(Ok(())),
+                        Some((id, data)) => {
+                            // The peer is scripted to die: bound the
+                            // handshake wait so its death surfaces as
+                            // PeerLost rather than a simulation deadlock.
+                            let deadline = self.inner.faults.death_of(dst).map(|death_at| {
+                                let grace =
+                                    death_at.since(self.ctx.now()) + self.inner.retry.backoff_cap;
+                                DeadlineRecv::new(&self.ctx, grace)
+                            });
+                            op.state = SendState::Cts { id, data, deadline };
+                        }
+                    },
+                    Ok(Some(backoff)) => {
+                        op.state = SendState::Put {
+                            env,
+                            bytes,
+                            attempt: attempt + 1,
+                            rendezvous,
+                        };
+                        return Poll::Pending(Step::Advance(backoff));
+                    }
+                    Err(fault) => return Poll::Ready(Err(fault)),
                 },
-                bytes,
-            );
-        }
-        // Rendezvous: RTS → (wait CTS) → data.
-        let id = self.inner.next_rdv.fetch_add(1, Ordering::Relaxed);
-        self.put(
-            dst,
-            Envelope {
-                src: self.rank,
-                dst,
-                tag,
-                dtype,
-                count,
-                wire_seq: self.inner.mint_wire_seq(),
-                payload: Payload::Rts { id, bytes },
-            },
-            0,
-        )?;
-        let me = self.rank;
-        let cts_what =
-            Reason::new("MPI rendezvous CTS from rank {}").with_args(Some(dst as i64), None);
-        let cts_pred =
-            |e: &Envelope| e.src == dst && matches!(e.payload, Payload::Cts { id: i } if i == id);
-        if let Some(death_at) = self.inner.faults.death_of(dst) {
-            // The peer is scripted to die: bound the handshake wait so its
-            // death surfaces as PeerLost rather than a simulation deadlock.
-            let grace = death_at.since(self.ctx.now()) + self.inner.retry.backoff_cap;
-            if self.inner.boxes[me]
-                .recv_where_deadline(&self.ctx, cts_what, cts_pred, grace)
-                .is_none()
-            {
-                return Err(MpiFault::PeerLost { rank: dst });
+                SendState::Cts {
+                    id,
+                    data,
+                    mut deadline,
+                } => {
+                    let what = Reason::new("MPI rendezvous CTS from rank {}")
+                        .with_args(Some(dst as i64), None);
+                    let cts = |e: &Envelope| {
+                        e.src == dst && matches!(e.payload, Payload::Cts { id: i } if i == id)
+                    };
+                    let mailbox = &self.inner.boxes[self.rank];
+                    let got = match deadline.as_mut() {
+                        Some(d) => mailbox.poll_recv_where_deadline(&self.ctx, &what, cts, d),
+                        None => match mailbox.poll_recv_where(&self.ctx, &what, cts) {
+                            Poll::Ready(env) => Poll::Ready(Some(env)),
+                            Poll::Pending(step) => Poll::Pending(step),
+                        },
+                    };
+                    match got {
+                        Poll::Ready(Some(_)) => {
+                            let bytes = data.len();
+                            let env = op.envelope(self, Payload::RdvData { id, data });
+                            op.state = SendState::put(env, bytes, None);
+                        }
+                        Poll::Ready(None) => {
+                            return Poll::Ready(Err(MpiFault::PeerLost { rank: dst }))
+                        }
+                        Poll::Pending(step) => {
+                            op.state = SendState::Cts { id, data, deadline };
+                            return Poll::Pending(step);
+                        }
+                    }
+                }
+                SendState::Done => panic!("a finished send is not polled again"),
             }
-        } else {
-            self.inner.boxes[me].recv_where(&self.ctx, cts_what, cts_pred);
         }
-        self.put(
-            dst,
-            Envelope {
-                src: self.rank,
-                dst,
-                tag,
-                dtype,
-                count,
-                wire_seq: self.inner.mint_wire_seq(),
-                payload: Payload::RdvData { id, data },
-            },
-            bytes,
-        )
     }
 
     /// Send a typed slice.
@@ -633,15 +761,16 @@ impl Comm {
     /// a wildcard tag matches only user tags ≥ 0). A thin loop over
     /// [`Comm::poll_recv`].
     pub fn recv(&self, src: SrcSel, tag: TagSel) -> Msg {
-        self.drive_recv(RecvOp::new(src, tag))
+        let mut op = RecvOp::new(src, tag);
+        self.drive(|| self.poll_recv(&mut op))
     }
 
-    /// Drive `op` to its message on this rank's thread; a receive on a
-    /// poisoned or retired mailbox unwinds as dead (caught by
-    /// [`MpiWorld::launch`] or [`crate::absorb_rank_death`]).
-    fn drive_recv(&self, mut op: RecvOp) -> Msg {
-        match self.ctx.drive_poll(|| self.poll_recv(&mut op)) {
-            Some(msg) => msg,
+    /// Drive a poll core to its value on this rank's thread; a core that
+    /// exits (a dead rank, or a poisoned or retired mailbox) unwinds as
+    /// dead (caught by [`MpiWorld::launch`] or [`crate::absorb_rank_death`]).
+    fn drive<T>(&self, poll: impl FnMut() -> Poll<T>) -> T {
+        match self.ctx.drive_poll(poll) {
+            Some(v) => v,
             None => panic::resume_unwind(Box::new(RankDeadUnwind)),
         }
     }
@@ -773,7 +902,9 @@ impl Comm {
         tag: TagSel,
         deadline: SimDuration,
     ) -> Result<Msg, MpiFault> {
-        self.check_self_alive();
+        if self.self_dead() {
+            panic::resume_unwind(Box::new(RankDeadUnwind));
+        }
         let me = self.rank;
         let what = format!(
             "MPI_Recv(src={}, tag={}, deadline={deadline})",
@@ -786,11 +917,14 @@ impl Comm {
             |e| e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0),
             deadline,
         ) {
-            Some(env) => Ok(self.drive_recv(RecvOp {
-                src,
-                tag,
-                state: self.on_header(env),
-            })),
+            Some(env) => {
+                let mut op = RecvOp {
+                    src,
+                    tag,
+                    state: self.on_header(env),
+                };
+                Ok(self.drive(|| self.poll_recv(&mut op)))
+            }
             None => {
                 if let Some(s) = src {
                     if self.peer_lost(s) {

@@ -33,8 +33,8 @@
 //! clock). The config layers guard or document each.
 
 use cp_des::{
-    Backend, Executor, Incident, IncidentCategory, Pid, ProcBody, ProcCtx, Reason, SimDuration,
-    SimError, SimReport, SimTime, Spawner,
+    Backend, Executor, Incident, IncidentCategory, Pid, ProcBody, ProcCtx, Reactor, Reason,
+    SimDuration, SimError, SimReport, SimTime, Spawner,
 };
 use cp_trace::Recorder;
 use parking_lot::{Condvar, Mutex};
@@ -595,6 +595,13 @@ impl Spawner for Runner {
         match self {
             Runner::Sim(sim) => sim.spawn_boxed(name, body),
             Runner::Native(run) => run.spawn_boxed(name, body),
+        }
+    }
+
+    fn spawn_reactor_boxed(&mut self, name: &str, reactor: Box<dyn Reactor>) -> Pid {
+        match self {
+            Runner::Sim(sim) => sim.spawn_reactor_boxed(name, reactor),
+            Runner::Native(run) => run.spawn_reactor_boxed(name, reactor),
         }
     }
 }
