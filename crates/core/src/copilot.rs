@@ -43,7 +43,7 @@ use crate::runtime::AppShared;
 use crate::tables::{CoEvent, CoState, NodeShared, PendingReq};
 use crate::trace::TraceOp;
 use cp_cellsim::{ls_ea, CellNode, MboxWrite};
-use cp_des::{IncidentCategory, Poll, ProcCtx, Reactor, SimDuration, Step, TaskCtx};
+use cp_des::{IncidentCategory, Poll, ProcCtx, Reactor, Reason, SimDuration, Step, TaskCtx};
 use cp_mpisim::{Comm, Datatype, MpiWorld, Msg, RecvOp, SendOp};
 use cp_simnet::{NodeId, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
 use std::collections::{HashMap, VecDeque};
@@ -101,7 +101,12 @@ pub(crate) async fn primary(
             Step::Exit
         });
     }
-    Service::adopt(t, comm, shared, ns, false).run().await;
+    let st = ns
+        .co_state
+        .lock()
+        .take()
+        .expect("a node's proxy tables are free at start");
+    Service::adopt(t, comm, shared, ns, st, false).run().await;
 }
 
 /// The standby Co-Pilot of a node whose primary has a scripted kill: watch
@@ -109,6 +114,12 @@ pub(crate) async fn primary(
 /// rank, take over the dead primary's mailbox, and resume servicing the
 /// proxy tables and event queue the primary handed back. Type-4/5 traffic
 /// continues with no application-visible loss.
+///
+/// A primary still busy past its kill (inside a scripted stall longer than
+/// the watchdog timeout, say) hands the tables back only when its service
+/// loop reaches the kill marker; the standby blocks until then (or stands
+/// down, if the primary shuts down cleanly first), so two service loops
+/// never serve the node at once.
 pub(crate) async fn standby(
     world: MpiWorld,
     shared: Arc<AppShared>,
@@ -138,6 +149,20 @@ pub(crate) async fn standby(
             hb.last_beat()
         ),
     );
+    let st = loop {
+        if let Some(st) = ns.co_state.lock().take() {
+            break st;
+        }
+        if hb.is_stopped() {
+            // The primary shut down cleanly instead of reaching its kill.
+            return;
+        }
+        *ns.handover_waiter.lock() = Some(ctx.pid());
+        t.step(Step::Block(Reason::new(
+            "the primary Co-Pilot's proxy tables",
+        )))
+        .await;
+    };
     let primary = shared.tables.copilot_ranks[&node];
     shared.copilot_route.lock().insert(node, rank);
     // Window ownership migrates with the node: one-sided writers that
@@ -146,7 +171,7 @@ pub(crate) async fn standby(
     shared.fabric.take_over_node(node.0, rank);
     world.take_over_rank(ctx, primary, rank);
     spawn_pump(ctx, &world, rank, ns.clone());
-    Service::adopt(t, comm, shared, ns, true).run().await;
+    Service::adopt(t, comm, shared, ns, st, true).run().await;
 }
 
 /// Spawn the Co-Pilot's MPI pump (its blocking `MPI_Recv(ANY_SOURCE)`),
@@ -290,27 +315,16 @@ struct Service {
 }
 
 impl Service {
-    /// Take the node's proxy tables over: fresh at start, or as a retired
-    /// primary handed them back. A standby whose watchdog fires while the
-    /// primary is still busy past its kill time (say, inside a scripted
-    /// stall longer than the watchdog timeout) finds them still held:
-    /// two service loops cannot share them, so the run aborts.
+    /// Serve the node with its proxy tables `st`: fresh at start, or as a
+    /// retired primary handed them back.
     fn adopt(
         t: TaskCtx,
         comm: Comm,
         shared: Arc<AppShared>,
         ns: Arc<NodeShared>,
+        st: CoState,
         standby: bool,
     ) -> Service {
-        let st = ns.co_state.lock().take();
-        let Some(st) = st else {
-            t.ctx().abort(&format!(
-                "standby Co-Pilot on node {}: the primary still holds the proxy \
-                 tables when the watchdog fires (its handling outlasted the watchdog \
-                 timeout)",
-                ns.cell.id
-            ))
-        };
         Service {
             t,
             comm,
@@ -369,6 +383,7 @@ impl Service {
                             self.ctx().now()
                         ),
                     );
+                    self.ns.release_standby(self.ctx());
                     *self.ns.co_state.lock() = Some(self.st);
                     return;
                 }
@@ -395,6 +410,7 @@ impl Service {
                 .await;
         }
         self.ns.hb.stop();
+        self.ns.release_standby(self.ctx());
         // The shutdown *wire message* may have been consumed by a previous
         // incarnation's pump (the primary pumps it, dies to the kill
         // marker, and the standby services the queued event) — leaving

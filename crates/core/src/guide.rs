@@ -8,8 +8,8 @@
 //! ## The cast
 //!
 //! A running CellPilot application consists of these simulated processes
-//! (each an OS thread scheduled one-at-a-time in virtual-time order by
-//! `cp-des`):
+//! (each a fiber or a kernel-hosted reactor, scheduled one at a time in
+//! virtual-time order by `cp-des`):
 //!
 //! * **Application ranks** — `main` (`CP_MAIN`, MPI rank 0) and every
 //!   process made with [`CellPilotConfig::create_process`]. They hold a

@@ -5,7 +5,7 @@ use crate::program::SpeProgram;
 use crate::protocol::Request;
 use cp_cellsim::CellNode;
 use cp_des::sync::MsgQueue;
-use cp_des::ProcCtx;
+use cp_des::{Pid, ProcCtx, SimDuration};
 use cp_mpisim::Msg;
 use cp_simnet::{Heartbeat, NodeId};
 use cp_trace::{HbOp, Recorder};
@@ -196,6 +196,9 @@ pub(crate) struct NodeShared {
     /// start, and between a primary's retirement and its standby's
     /// adoption.
     pub co_state: Mutex<Option<CoState>>,
+    /// A standby blocked until the primary hands [`NodeShared::co_state`]
+    /// back.
+    pub handover_waiter: Mutex<Option<Pid>>,
     /// Node-local liveness signal between the primary Co-Pilot and its
     /// standby's watchdog.
     pub hb: Heartbeat,
@@ -215,12 +218,21 @@ impl NodeShared {
             queue: MsgQueue::new(&format!("copilot{}-queue", cell.id), None),
             free_spes: Mutex::new(vec![true; n]),
             co_state: Mutex::new(Some(CoState::default())),
+            handover_waiter: Mutex::new(None),
             hb: Heartbeat::new(),
             hb_rec: Mutex::new(Recorder::disabled()),
             queue_sent: AtomicU64::new(0),
             queue_received: AtomicU64::new(0),
             cell,
         })
+    }
+
+    /// Wake the standby blocked on the handover, if one is: the primary
+    /// handed [`NodeShared::co_state`] back, or shut down cleanly.
+    pub(crate) fn release_standby(&self, ctx: &ProcCtx) {
+        if let Some(standby) = self.handover_waiter.lock().take() {
+            ctx.unblock(standby, SimDuration::ZERO);
+        }
     }
 
     /// Attach a happens-before recorder to the event queue.

@@ -7,7 +7,7 @@ use cellpilot::trace::{TraceEvent, TraceOp};
 use cellpilot::{
     CellPilotConfig, CellPilotOpts, CpChannel, CpError, SpeProgram, SupervisionPolicy, CP_MAIN,
 };
-use cp_des::{IncidentCategory, SimDuration, SimError, SimReport, SimTime};
+use cp_des::{IncidentCategory, SimDuration, SimReport, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
 use std::sync::{Arc, Mutex};
 
@@ -372,11 +372,11 @@ fn copilot_failover_output_matches_fault_free_run() {
 }
 
 /// A primary still inside a scripted stall when its standby's watchdog
-/// fires has not handed its proxy tables over, and two service loops
-/// cannot share them: the run aborts with a diagnostic naming the node,
-/// instead of hanging the host or panicking the standby.
+/// fires has not handed its proxy tables over yet, and two service loops
+/// cannot share them: the standby waits for the handover, then adopts the
+/// node, and every round trip completes with the right values.
 #[test]
-fn standby_adopting_from_a_stalled_primary_aborts_with_a_diagnostic() {
+fn standby_waits_for_a_stalled_primary_to_hand_over() {
     let spec = ClusterSpec::two_cells_one_xeon();
     let plan = FaultPlan::new()
         .stall_copilot(NodeId(0), SimTime(100_000), SimDuration::from_millis(3))
@@ -392,24 +392,83 @@ fn standby_adopting_from_a_stalled_primary_aborts_with_a_diagnostic() {
     let s = cfg.create_spe_process(&writer, CP_MAIN, 0).unwrap();
     let data = cfg.channel(s, CP_MAIN).build().unwrap();
     let ack = cfg.channel(CP_MAIN, s).build().unwrap();
-    let result = cfg.run(move |cp| {
-        let t = cp.run_spe(s, 0, 0).unwrap();
-        for i in 0..5i32 {
-            assert_eq!(cp.read_vec::<i32>(data).unwrap(), vec![i]);
-            cp.write_slice(ack, &[i]).unwrap();
-        }
-        cp.wait_spe(t);
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let sink = received.clone();
+    let report = cfg
+        .run(move |cp| {
+            let t = cp.run_spe(s, 0, 0).unwrap();
+            for i in 0..5i32 {
+                let v = cp.read_vec::<i32>(data).unwrap();
+                sink.lock().unwrap().push(v);
+                cp.write_slice(ack, &[i]).unwrap();
+            }
+            cp.wait_spe(t);
+        })
+        .expect("the standby waits for the handover instead of failing the run");
+    assert_eq!(
+        *received.lock().unwrap(),
+        (0..5).map(|i| vec![i]).collect::<Vec<_>>()
+    );
+    let cats: Vec<IncidentCategory> = report.incidents.iter().map(|i| i.category).collect();
+    assert!(cats.contains(&IncidentCategory::CopilotStall), "{cats:?}");
+    assert!(cats.contains(&IncidentCategory::CopilotDeath), "{cats:?}");
+    // The watchdog fired while the stalled primary still held the tables.
+    let at = |c| {
+        report
+            .incidents
+            .iter()
+            .find(|i| i.category == c)
+            .unwrap()
+            .at
+    };
+    assert!(
+        at(IncidentCategory::CopilotFailover) < at(IncidentCategory::CopilotDeath),
+        "{:?}",
+        report.incidents
+    );
+}
+
+/// The same overlap when the primary's stall ends in a clean shutdown
+/// instead of its kill marker: the standby, already waiting for the
+/// tables, stands down when the primary shuts down, and the run completes
+/// instead of deadlocking on the handover.
+#[test]
+fn standby_stands_down_when_a_stalled_primary_shuts_down() {
+    let spec = ClusterSpec::two_cells_one_xeon();
+    // The stall catches the shutdown message itself and outlasts both the
+    // kill time and the watchdog timeout after it.
+    let plan = FaultPlan::new()
+        .stall_copilot(NodeId(0), SimTime(300_000), SimDuration::from_millis(3))
+        .kill_copilot(NodeId(0), SimTime(2_000_000));
+    let opts = CellPilotOpts::new().with_faults(Arc::new(plan));
+    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
+    let writer = SpeProgram::new("writer", 2048, |spe, _, _| {
+        spe.write_slice(CpChannel(0), &[7i32]).unwrap();
+        assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), vec![7]);
     });
-    match result {
-        Err(SimError::Aborted { name, message, .. }) => {
-            assert_eq!(name, "copilot0-standby");
-            assert!(
-                message.contains("standby Co-Pilot on node 0: the primary still holds"),
-                "{message}"
-            );
-        }
-        other => panic!("expected the standby to abort, got {other:?}"),
-    }
+    let s = cfg.create_spe_process(&writer, CP_MAIN, 0).unwrap();
+    let data = cfg.channel(s, CP_MAIN).build().unwrap();
+    let ack = cfg.channel(CP_MAIN, s).build().unwrap();
+    let report = cfg
+        .run(move |cp| {
+            let t = cp.run_spe(s, 0, 0).unwrap();
+            assert_eq!(cp.read_vec::<i32>(data).unwrap(), vec![7]);
+            cp.write_slice(ack, &[7]).unwrap();
+            cp.wait_spe(t);
+            // Finish after the stall time, so the shutdown is what stalls.
+            cp.ctx().advance(SimDuration::from_micros(200));
+        })
+        .expect("the waiting standby stands down with the primary");
+    let cats: Vec<IncidentCategory> = report.incidents.iter().map(|i| i.category).collect();
+    assert_eq!(
+        cats,
+        vec![
+            IncidentCategory::CopilotStall,
+            IncidentCategory::CopilotFailover
+        ],
+        "the primary never reaches its kill: {:?}",
+        report.incidents
+    );
 }
 
 /// Supervision is a budget, not a blank cheque: enough stacked crashes

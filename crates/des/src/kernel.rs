@@ -3,22 +3,33 @@
 //!
 //! # Execution model
 //!
-//! A simulated process runs either on an OS thread of its own or, for a
-//! [`Reactor`], inline on whichever thread is dispatching. The kernel grants
-//! the CPU to **exactly one** process at a time, always the one owning the
-//! earliest `(virtual_time, sequence)` event in the queue. A thread process
-//! gives up the CPU only inside kernel calls ([`ProcCtx::advance`],
-//! [`ProcCtx::block`], [`ProcCtx::join`], or process exit); a reactor gives
-//! it up by returning a [`Step`]. Between those points a process may freely
-//! mutate shared state without data races *or* lost determinism: the
-//! interleaving is a pure function of the event timestamps and spawn order.
+//! A simulation runs on one OS thread of its own, the `sim-kernel` carrier
+//! that [`Simulation::run`] spawns and joins. A simulated process runs
+//! either on a stackful fiber of its own ([`cp_fiber::Fiber`]) on that
+//! thread or, for a [`Reactor`], inline on whichever stack is dispatching.
+//! The kernel grants the CPU to **exactly one** process at a time, always
+//! the one owning the earliest `(virtual_time, sequence)` event in the
+//! queue. A fiber process gives up the CPU only inside kernel calls
+//! ([`ProcCtx::advance`], [`ProcCtx::block`], [`ProcCtx::join`], or process
+//! exit); a reactor gives it up by returning a [`Step`]. Between those
+//! points a process may freely mutate shared state without data races *or*
+//! lost determinism: the interleaving is a pure function of the event
+//! timestamps and spawn order.
 //!
 //! The process releasing the CPU runs the dispatcher itself. It steps any
-//! reactors that come due, outside the kernel lock and with no OS switch,
-//! until the next event belongs to a thread process. If that is the
-//! releasing process, it returns at once; otherwise it hands over a baton
-//! (`std::thread::park`/`unpark`) after dropping the lock, and the woken
-//! thread resumes without re-taking the lock.
+//! reactors that come due, outside the kernel lock, until the next event
+//! belongs to a fiber process. If that is the releasing process, it
+//! returns at once; otherwise it drops the lock and switches stacks to the
+//! target fiber, which resumes without re-taking the lock. A fiber whose
+//! process exits returns to the carrier's own stack, which frees it and
+//! dispatches the next event. Fibers never migrate between OS threads, so
+//! a process's thread-locals are the carrier's, shared by every process of
+//! the simulation.
+//!
+//! When the run ends early (deadlock, abort, panic or time limit), the
+//! carrier resumes every unfinished fiber with a poison grant; it unwinds
+//! its stack, dropping everything its closure owns, before the stack is
+//! freed.
 //!
 //! If the event queue drains while unfinished processes remain, every one of
 //! them is blocked with no possible waker: the kernel reports a
@@ -32,14 +43,13 @@ use crate::backend::{Backend, Executor, ProcBody, Spawner};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
 use crate::reactor::{carry_out, Poll, Reactor, Reason, Step};
 use crate::time::{SimDuration, SimTime};
+use cp_fiber::Fiber;
 use cp_trace::Recorder;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::thread::{JoinHandle, Thread};
+use std::sync::{Arc, Weak};
 
 /// Payload used to unwind a simulated process when the simulation is torn
 /// down early (deadlock, abort, or another process panicking).
@@ -47,72 +57,32 @@ struct SimUnwind;
 
 #[derive(Debug)]
 enum Status {
-    /// Has an event in the queue; parked until that event is dispatched.
+    /// Has an event in the queue; suspended until that event is dispatched.
     Waiting,
     /// Currently owns the virtual CPU.
     Running,
-    /// Parked with no queued event; needs an `unblock` to become Waiting.
+    /// Suspended with no queued event; needs an `unblock` to become Waiting.
     Blocked(Reason),
     /// Process has exited.
     Finished,
-    /// Simulation is tearing down; parked threads must unwind on wake.
+    /// Simulation is tearing down; a suspended fiber unwinds when resumed.
     Poisoned,
 }
 
-/// Grants a thread process's baton can carry.
-const IDLE: u8 = 0;
-const RUN: u8 = 1;
-const RUN_TIMED_OUT: u8 = 2;
-const POISON: u8 = 3;
+/// Grants a fiber process is switched to with.
+const RUN: usize = 0;
+const RUN_TIMED_OUT: usize = 1;
+const POISON: usize = 2;
 
-/// The wake-up slot of a thread process: the dispatcher stores a grant and
-/// unparks the thread, which consumes the grant without touching the
-/// kernel lock. The grant's `Release` store pairs with the `Acquire` load
-/// that consumes it, so everything the processes that ran before the
-/// handoff wrote is visible to the woken thread.
-struct Baton {
-    grant: AtomicU8,
-    /// Set by the spawner before the process can first be dispatched.
-    thread: OnceLock<Thread>,
-}
-
-impl Baton {
-    fn signal(&self, grant: u8) {
-        if grant == POISON {
-            self.grant.store(POISON, Ordering::Release);
-        } else if self
-            .grant
-            .compare_exchange(IDLE, grant, Ordering::Release, Ordering::Relaxed)
-            .is_err()
-        {
-            // Only a poison can be pending here, and it must win.
-            return;
-        }
-        if let Some(t) = self.thread.get() {
-            t.unpark();
-        }
-    }
-
-    /// Park until granted the CPU; `true` if the grant is a `block_timeout`
-    /// deadline rather than an `unblock`. Unwinds on teardown.
-    fn wait(&self) -> bool {
-        loop {
-            match self.grant.load(Ordering::Acquire) {
-                g @ (RUN | RUN_TIMED_OUT) => {
-                    if self
-                        .grant
-                        .compare_exchange(g, IDLE, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        return g == RUN_TIMED_OUT;
-                    }
-                }
-                // resume_unwind skips the panic hook: teardown unwinds are
-                // expected control flow, not reportable panics.
-                POISON => panic::resume_unwind(Box::new(SimUnwind)),
-                _ => std::thread::park(),
-            }
-        }
+/// What a fiber process switched to with `grant` does: `true` if it was
+/// woken by a `block_timeout` deadline. Unwinds on teardown.
+fn granted(grant: usize) -> bool {
+    match grant {
+        RUN => false,
+        RUN_TIMED_OUT => true,
+        // resume_unwind skips the panic hook: teardown unwinds are
+        // expected control flow, not reportable panics.
+        _ => panic::resume_unwind(Box::new(SimUnwind)),
     }
 }
 
@@ -124,9 +94,9 @@ struct Hosted {
 
 /// Where a process's code runs.
 enum Body {
-    /// On its own OS thread, woken through its baton.
-    Thread(Arc<Baton>),
-    /// Inline on the dispatching thread. `None` while a step runs and once
+    /// On a fiber of its own. `None` once the process has exited.
+    Fiber(Option<Fiber>),
+    /// Inline on the dispatching stack. `None` while a step runs and once
     /// the reactor has exited.
     Reactor(Option<Hosted>),
 }
@@ -193,8 +163,10 @@ enum Handoff {
     /// Its own event came next: carry on at once (`true` if that event is
     /// a `block_timeout` deadline).
     Resume(bool),
-    /// Another thread holds the CPU now: wait on the baton.
-    Park,
+    /// Switch to this fiber, which takes the CPU with this grant.
+    Switch(Fiber, usize),
+    /// The run is over.
+    Done,
 }
 
 /// The message of a genuine (non-teardown) panic payload.
@@ -208,8 +180,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 pub(crate) struct Kernel {
     state: Mutex<KState>,
-    done_cv: Condvar,
-    handles: Mutex<Vec<JoinHandle<()>>>,
     /// Self-reference so `Executor::spawn_boxed` can hand each new process a
     /// `ProcCtx` holding an owning handle on this kernel.
     me: Weak<Kernel>,
@@ -233,8 +203,6 @@ impl Kernel {
                 incidents: Vec::new(),
                 recorder: Recorder::disabled(),
             }),
-            done_cv: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
             me: me.clone(),
         })
     }
@@ -333,37 +301,30 @@ impl Kernel {
             }));
             self.poison(st);
         }
-        self.done_cv.notify_all();
         None
     }
 
     /// Hand the virtual CPU to the owner of the earliest event, or end the
-    /// simulation (completion or deadlock). `me` is the thread process that
-    /// just released the CPU (`None` for an exiting process or `Simulation::run`).
+    /// simulation (completion or deadlock). `me` is the fiber process that
+    /// just released the CPU (`None` for the carrier's own stack).
     /// Reactors that come due are stepped right here; the loop ends at the
-    /// first thread process, which is signalled after the lock is dropped.
+    /// first fiber process, which is switched to once the lock is dropped.
     fn dispatch<'k>(&'k self, mut st: MutexGuard<'k, KState>, me: Option<Pid>) -> Handoff {
         debug_assert!(!st.cpu_busy);
         loop {
             if st.outcome.is_some() {
-                if me.is_some() {
-                    drop(st);
-                    panic::resume_unwind(Box::new(SimUnwind));
-                }
-                return Handoff::Park;
+                return Handoff::Done;
             }
             let Some((pid, timed)) = self.next_event(&mut st) else {
                 continue;
             };
             match &mut st.procs[pid].body {
-                Body::Thread(baton) => {
+                Body::Fiber(fiber) => {
                     if me == Some(pid) {
                         return Handoff::Resume(timed);
                     }
-                    let baton = baton.clone();
-                    drop(st);
-                    baton.signal(if timed { RUN_TIMED_OUT } else { RUN });
-                    return Handoff::Park;
+                    let fiber = fiber.clone().expect("a dispatched process has not exited");
+                    return Handoff::Switch(fiber, if timed { RUN_TIMED_OUT } else { RUN });
                 }
                 Body::Reactor(hosted) => {
                     let hosted = hosted.take().expect("a dispatched reactor is not mid-step");
@@ -457,15 +418,11 @@ impl Kernel {
         st.cpu_busy = false;
     }
 
-    /// Mark all parked processes poisoned and wake the threads among them so
-    /// they can unwind and exit.
+    /// Mark all suspended processes poisoned: the run is over.
     fn poison(&self, st: &mut KState) {
         for p in st.procs.iter_mut() {
             if matches!(p.status, Status::Waiting | Status::Blocked(_)) {
                 p.status = Status::Poisoned;
-                if let Body::Thread(baton) = &p.body {
-                    baton.signal(POISON);
-                }
             }
         }
     }
@@ -475,38 +432,37 @@ impl Kernel {
             st.outcome = Some(Outcome::Failed(err));
         }
         self.poison(st);
-        self.done_cv.notify_all();
     }
 
-    /// The baton of thread process `pid`, which is making the blocking call
-    /// `call`. A reactor making one fails its step: it must yield a
+    /// Check that process `pid`, making the blocking call `call`, runs on
+    /// a fiber. A reactor making one fails its step: it must yield a
     /// [`Step`] instead.
-    fn own_baton(st: &KState, pid: Pid, call: &str) -> Arc<Baton> {
-        match &st.procs[pid].body {
-            Body::Thread(baton) => baton.clone(),
-            Body::Reactor(_) => panic!(
+    fn check_blocking(st: &KState, pid: Pid, call: &str) {
+        if let Body::Reactor(_) = &st.procs[pid].body {
+            panic!(
                 "reactor '{}' called the blocking ProcCtx::{call} inside a step; \
                  a step must return a Step instead",
                 st.procs[pid].name
-            ),
+            );
         }
     }
 
-    /// Release the CPU held by thread process `pid` (its status already
+    /// Release the CPU held by fiber process `pid` (its status already
     /// updated) and return once it is granted the CPU again: `true` if by a
-    /// `block_timeout` deadline.
-    fn switch<'k>(&'k self, st: MutexGuard<'k, KState>, pid: Pid, baton: &Baton) -> bool {
-        match self.dispatch(st, Some(pid)) {
-            Handoff::Resume(timed) => timed,
-            Handoff::Park => baton.wait(),
-        }
+    /// `block_timeout` deadline. Unwinds if the run ends meanwhile.
+    fn switch<'k>(&'k self, st: MutexGuard<'k, KState>, pid: Pid) -> bool {
+        granted(match self.dispatch(st, Some(pid)) {
+            Handoff::Resume(timed) => return timed,
+            Handoff::Switch(fiber, grant) => fiber.switch(grant),
+            Handoff::Done => POISON,
+        })
     }
 
-    /// Block thread process `pid` with `reason`, and a deadline if
+    /// Block fiber process `pid` with `reason`, and a deadline if
     /// `timeout` is given; `true` if that deadline woke it.
     fn block_for(&self, pid: Pid, reason: Reason, timeout: Option<SimDuration>) -> bool {
         let mut st = self.state.lock();
-        let baton = Kernel::own_baton(&st, pid, "block");
+        Kernel::check_blocking(&st, pid, "block");
         debug_assert!(matches!(st.procs[pid].status, Status::Running));
         if Kernel::take_wake(&mut st, pid) {
             return false;
@@ -517,7 +473,37 @@ impl Kernel {
             Kernel::push_event(&mut st, at, pid);
         }
         st.cpu_busy = false;
-        self.switch(st, pid, &baton)
+        self.switch(st, pid)
+    }
+
+    /// The carrier thread's loop. Dispatch from the thread's own stack
+    /// whenever no process holds the CPU: at the start, and each time a
+    /// process's fiber exits. Once the run is over, resume every
+    /// unfinished fiber with the poison grant, so each unwinds before its
+    /// stack is freed.
+    fn carry(&self) {
+        loop {
+            match self.dispatch(self.state.lock(), None) {
+                Handoff::Switch(fiber, grant) => {
+                    fiber.switch(grant);
+                }
+                Handoff::Done => break,
+                Handoff::Resume(_) => unreachable!("the carrier owns no event"),
+            }
+        }
+        let unfinished: Vec<Fiber> = self
+            .state
+            .lock()
+            .procs
+            .iter()
+            .filter_map(|p| match &p.body {
+                Body::Fiber(fiber) => fiber.clone(),
+                Body::Reactor(_) => None,
+            })
+            .collect();
+        for fiber in unfinished {
+            fiber.switch(POISON);
+        }
     }
 }
 
@@ -536,13 +522,13 @@ impl Executor for Kernel {
 
     fn advance(&self, pid: Pid, d: SimDuration) {
         let mut st = self.state.lock();
-        let baton = Kernel::own_baton(&st, pid, "advance");
+        Kernel::check_blocking(&st, pid, "advance");
         debug_assert!(matches!(st.procs[pid].status, Status::Running));
         let at = st.now + d;
         Kernel::push_event(&mut st, at, pid);
         st.procs[pid].status = Status::Waiting;
         st.cpu_busy = false;
-        self.switch(st, pid, &baton);
+        self.switch(st, pid);
     }
 
     fn block(&self, pid: Pid, reason: Reason) {
@@ -597,7 +583,7 @@ impl Executor for Kernel {
                 if matches!(st.procs[target].status, Status::Finished) {
                     return;
                 }
-                Kernel::own_baton(&st, me, "join");
+                Kernel::check_blocking(&st, me, "join");
                 st.procs[target].join_waiters.push(me);
             }
             self.block(me, Reason::join(target));
@@ -697,8 +683,8 @@ impl ProcCtx {
         self.exec.block_timeout(self.pid, reason.into(), timeout)
     }
 
-    /// Carry a non-blocking poll core through to its value on this
-    /// process's thread: take each pending [`Step`] (advance or block) and
+    /// Carry a non-blocking poll core through to its value in this
+    /// process: take each pending [`Step`] (advance or block) and
     /// poll again. `None` if the core asked the process to exit.
     pub fn drive_poll<T>(&self, mut poll: impl FnMut() -> Poll<T>) -> Option<T> {
         loop {
@@ -739,7 +725,7 @@ impl ProcCtx {
     }
 
     /// Spawn a [`Reactor`] process, runnable at the current virtual time.
-    /// The DES kernel steps it inline with no thread of its own; other
+    /// The DES kernel steps it inline with no stack of its own; other
     /// backends drive it on a thread. The schedule is the same either way.
     pub fn spawn_reactor(&self, name: &str, reactor: impl Reactor + 'static) -> Pid {
         self.exec.spawn_reactor(name, Box::new(reactor))
@@ -759,39 +745,34 @@ impl ProcCtx {
 }
 
 fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
-    let baton = Arc::new(Baton {
-        grant: AtomicU8::new(IDLE),
-        thread: OnceLock::new(),
-    });
-    let pid = Kernel::add_process(&mut kernel.state.lock(), name, Body::Thread(baton.clone()));
-    let kern = kernel.clone();
-    let thread_baton = baton.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("sim-{name}"))
-        .spawn(move || {
-            let ctx = ProcCtx::from_executor(kern.clone(), pid);
-            let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                thread_baton.wait();
-                f(&ctx)
-            }));
-            let mut st = kern.state.lock();
-            kern.retire(&mut st, pid);
-            if let Err(payload) = result {
-                if payload.downcast_ref::<SimUnwind>().is_none() {
-                    // A genuine panic in user/library code: fail the run.
-                    let name = st.procs[pid].name.clone();
-                    let message = panic_message(&*payload);
-                    kern.fail(&mut st, SimError::ProcessPanicked { pid, name, message });
-                }
+    let mut st = kernel.state.lock();
+    let pid = st.procs.len();
+    // Weak: a fiber that never runs must not keep its kernel alive.
+    let kern = Arc::downgrade(kernel);
+    let fiber = Fiber::new(move |grant| {
+        let kern = kern
+            .upgrade()
+            .expect("the kernel outlives its running processes");
+        let ctx = ProcCtx::from_executor(kern.clone(), pid);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            granted(grant);
+            f(&ctx)
+        }));
+        let mut st = kern.state.lock();
+        kern.retire(&mut st, pid);
+        st.procs[pid].body = Body::Fiber(None);
+        if let Err(payload) = result {
+            if payload.downcast_ref::<SimUnwind>().is_none() {
+                // A genuine panic in user/library code: fail the run.
+                let name = st.procs[pid].name.clone();
+                let message = panic_message(&*payload);
+                kern.fail(&mut st, SimError::ProcessPanicked { pid, name, message });
             }
-            kern.dispatch(st, None);
-        })
-        .expect("failed to spawn simulation thread");
-    // The spawner holds the CPU (or the run has not started), so the new
-    // process cannot be dispatched before its baton knows its thread.
-    let _ = baton.thread.set(handle.thread().clone());
-    kernel.handles.lock().push(handle);
-    pid
+        }
+        // Returning ends the fiber: the carrier dispatches from here.
+    })
+    .expect("failed to map a simulated process's stack");
+    Kernel::add_process(&mut st, name, Body::Fiber(Some(fiber)))
 }
 
 fn host_reactor(kernel: &Arc<Kernel>, name: &str, reactor: Box<dyn Reactor>) -> Pid {
@@ -883,19 +864,18 @@ impl Simulation {
     }
 
     /// Drive the simulation to completion, returning the report or the first
-    /// failure (deadlock, panic, or abort).
+    /// failure (deadlock, panic, or abort). The processes run on a carrier
+    /// thread named `sim-kernel`, which this call spawns and joins, so a
+    /// simulated process may itself run a nested simulation.
     pub fn run(self) -> Result<SimReport, SimError> {
-        self.kernel.dispatch(self.kernel.state.lock(), None);
-        {
-            let mut st = self.kernel.state.lock();
-            while st.outcome.is_none() {
-                self.kernel.done_cv.wait(&mut st);
-            }
-        }
-        // All processes are finished or poisoned; join their threads.
-        let handles = std::mem::take(&mut *self.kernel.handles.lock());
-        for h in handles {
-            let _ = h.join();
+        let kernel = self.kernel.clone();
+        let carrier = std::thread::Builder::new()
+            .name("sim-kernel".into())
+            .spawn(move || kernel.carry())
+            .expect("failed to spawn the simulation's carrier thread");
+        if let Err(payload) = carrier.join() {
+            // A kernel bug, not a process panic: those end the run.
+            panic::resume_unwind(payload);
         }
         let mut st = self.kernel.state.lock();
         // Reactors left parked hold contexts that point back at the kernel:
@@ -905,7 +885,7 @@ impl Simulation {
             .iter_mut()
             .filter_map(|p| match &mut p.body {
                 Body::Reactor(hosted) => hosted.take(),
-                Body::Thread(_) => None,
+                Body::Fiber(_) => None,
             })
             .collect();
         let outcome = st.outcome.take().expect("outcome present");

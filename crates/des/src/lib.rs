@@ -4,11 +4,14 @@
 //!
 //! The foundation of the CellPilot reproduction: a virtual-time kernel in
 //! which simulated processes (a PPE thread, an SPE program, an MPI rank, a
-//! Co-Pilot service) run either on an OS thread of their own or, for
+//! Co-Pilot service) run either on a stackful fiber of their own or, for
 //! reactive helpers, as kernel-hosted [`Reactor`]s stepped inline by the
-//! dispatching thread. Either way execution is serialized in strict
+//! dispatching process. All of a simulation's fibers share one carrier OS
+//! thread, so handing the CPU from one process to another is a stack
+//! switch, not an OS thread switch. Execution is serialized in strict
 //! `(virtual_time, sequence)` order, so every run is deterministic and
-//! every latency is an explicit, modelled quantity.
+//! every latency is an explicit, modelled quantity. The stack switch
+//! lives in `cp-fiber`, the workspace's only crate with `unsafe` code.
 //!
 //! Layers above this crate:
 //!

@@ -1,17 +1,17 @@
 //! Kernel-hosted reactors: simulated processes that run as event handlers
-//! instead of on an OS thread of their own.
+//! instead of on a stack of their own.
 //!
 //! A [`Reactor`] is a reactive loop — wait for an event, charge a cost,
 //! forward the event — written as a state machine. Each call to
 //! [`Reactor::step`] runs until the code would next yield the virtual CPU
 //! and returns that yield as a [`Step`]. The DES kernel runs a step inline
-//! on whichever thread is dispatching, so handing the CPU to a reactor
-//! costs no OS thread switch. A reactor still owns a pid, and each step is
-//! a dispatch in the `(time, sequence)` order exactly where the thread
+//! on whichever stack is dispatching, so handing the CPU to a reactor
+//! costs no stack switch. A reactor still owns a pid, and each step is
+//! a dispatch in the `(time, sequence)` order exactly where the blocking
 //! form of the same loop would have resumed, so the logical schedule is
-//! identical either way. [`drive`] runs the same reactor on a thread,
-//! which is what `cp-native` (and any [`crate::Executor`] without a
-//! hosting kernel) does.
+//! identical either way. [`drive`] runs the same reactor as a blocking
+//! process, which is what `cp-native` (and any [`crate::Executor`]
+//! without a hosting kernel) does.
 //!
 //! **A step never blocks.** Inside a step a reactor may read the clock,
 //! wake processes, push to unbounded queues, spawn, report incidents and
@@ -22,7 +22,7 @@
 //! The non-blocking *poll cores* ([`crate::sync::MsgQueue::poll_pop`],
 //! [`crate::sync::MsgQueue::poll_push`] and the mailbox and MPI cores
 //! built the same way) return [`Poll`]: either the value, or the [`Step`]
-//! to take before polling again. A reactor returns that step; a thread
+//! to take before polling again. A reactor returns that step; a blocking
 //! process carries it out with [`ProcCtx::drive_poll`], which is how the
 //! blocking calls are built. A reactor with many waits in a row is easier
 //! to write as an `async` body run by [`crate::task`].
@@ -72,15 +72,15 @@ impl<F: FnMut(&ProcCtx) -> Step + Send> Reactor for F {
     }
 }
 
-/// Run `reactor` to completion on the calling process's own thread,
-/// carrying out each step with the blocking `ProcCtx` calls. This is the
+/// Run `reactor` to completion in the calling process, carrying out
+/// each step with the blocking `ProcCtx` calls. This is the
 /// default [`crate::Executor::spawn_reactor`], and gives the same schedule
 /// as kernel hosting.
 pub fn drive<R: Reactor + ?Sized>(ctx: &ProcCtx, reactor: &mut R) {
     while carry_out(ctx, reactor.step(ctx)) {}
 }
 
-/// Carry out `step` on the calling thread with the blocking `ProcCtx`
+/// Carry out `step` in the calling process with the blocking `ProcCtx`
 /// calls; `false` for [`Step::Exit`].
 pub(crate) fn carry_out(ctx: &ProcCtx, step: Step) -> bool {
     match step {

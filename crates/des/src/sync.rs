@@ -344,7 +344,7 @@ mod tests {
     type QueueLog = Vec<(&'static str, u8, u64)>;
 
     /// A producer pushing three items through a one-slot queue, by
-    /// blocking `push` on a thread or by `poll_push` from a reactor, and a
+    /// blocking `push` in a process or by `poll_push` from a reactor, and a
     /// consumer draining it late. Returns the dispatch trace and the
     /// `(item, ns)` log of completed pushes and pops.
     fn full_queue_scenario(polled: bool) -> (Vec<(SimTime, Pid)>, QueueLog) {
